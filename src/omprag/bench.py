@@ -12,12 +12,12 @@ import csv
 import logging
 import os
 import re
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BenchError, InvalidInputError, LockHeldError, ParseError
-from .validation import OMP_THREADS_VAR
+from .tables import render_table
+from .validation import _run_binary
 
 log = logging.getLogger(__name__)
 
@@ -130,24 +130,15 @@ def run_sweep(
     for threads in thread_counts:
         times: list[float] = []
         for _ in range(repetitions):
-            env = dict(os.environ)
-            env[OMP_THREADS_VAR] = str(threads)
-            try:
-                proc = subprocess.run(
-                    [str(binary), *input_args],
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout,
-                    env=env,
-                )
-            except subprocess.TimeoutExpired as exc:
-                raise BenchError(f"{case_id}: benchmark timed out at {threads} threads") from exc
-            if proc.returncode != 0:
+            code, stdout, stderr = _run_binary(binary, input_args, timeout, threads=threads)
+            if code is None:
+                raise BenchError(f"{case_id}: benchmark timed out at {threads} threads")
+            if code != 0:
                 raise BenchError(
-                    f"{case_id}: benchmark exited {proc.returncode} at {threads} threads: "
-                    f"{proc.stderr.strip()[:200]}"
+                    f"{case_id}: benchmark exited {code} at {threads} threads: "
+                    f"{stderr.strip()[:200]}"
                 )
-            elapsed = parse_elapsed_seconds(proc.stdout)
+            elapsed = parse_elapsed_seconds(stdout)
             if not elapsed > 0:
                 raise BenchError(f"{case_id}: non-positive elapsed time {elapsed}")
             times.append(elapsed)
@@ -272,19 +263,11 @@ def render_runtime_table(records: list[BenchRecord]) -> str:
         walls[(r.case_id, r.threads)] = r.wall_seconds
     threads.sort()
     header = ["Case"] + [f"{t} thread{'s' if t != 1 else ''} (s)" for t in threads]
-    rows = [header]
-    for case_id in cases:
-        rows.append(
+    return render_table(
+        [header]
+        + [
             [case_id]
-            + [
-                f"{walls[(case_id, t)]:.3f}" if (case_id, t) in walls else "-"
-                for t in threads
-            ]
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for idx, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+            + [f"{walls[(case_id, t)]:.3f}" if (case_id, t) in walls else "-" for t in threads]
+            for case_id in cases
+        ]
+    )

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -49,15 +50,15 @@ from .pipeline import (
     run_pipeline,
     summarize,
     transform_cases,
-    validate_cases,
+    validate_and_report,
 )
 from .prompt import load_template
 from .validation import (
+    ValidationReport,
     compile_gate,
     load_case_manifest,
-    load_reports,
-    save_case_manifest,
-    save_reports,
+    load_jsonl,
+    save_jsonl,
 )
 
 log = logging.getLogger(__name__)
@@ -72,19 +73,8 @@ def builtin_keywords_path() -> Path:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {}
-    for name in (
-        "profile", "k", "model", "temperature", "replay_dir", "record_dir",
-        "template_path", "out_dir", "chat_endpoint", "embed_endpoint",
-        "embed_model", "workers",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "threads_sweep", None):
-        overrides["thread_sweep"] = args.threads_sweep
-    if getattr(args, "differential_threads", None):
-        overrides["differential_threads"] = args.differential_threads
+    """Every parsed flag whose dest names a PipelineConfig field overrides it."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -156,7 +146,7 @@ def cmd_harvest(args: argparse.Namespace) -> int:
                 rejected += 1
                 log.info("rejected %s: %s", raw.origin_url, candidate.rejection_reason.value)
     specs = build_case_manifest(survivors, args.cases_dir, start_index=args.start_index)
-    save_case_manifest(specs, args.case_manifest)
+    save_jsonl(specs, args.case_manifest)
     print(
         f"harvested {len(specs)} cases ({rejected} rejected) -> "
         f"{args.cases_dir}, manifest {args.case_manifest}"
@@ -194,13 +184,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cases = load_case_manifest(args.case_manifest)
-    reports = validate_cases(cases, cfg, cfg.out_dir)
-    out_dir = Path(cfg.out_dir)
-    save_reports(reports, out_dir / "reports.jsonl")
-    summary = summarize(reports)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    reports, _ = validate_and_report(cases, cfg, cfg.out_dir)
     print(render_report(reports, "text"), end="")
     return 0
 
@@ -270,7 +254,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         label, _, path = spec.rpartition("=")
         path = Path(path)
         label = label or path.stem
-        labeled.append((label, load_reports(path)))
+        labeled.append((label, load_jsonl(path, ValidationReport)))
     if len(labeled) == 1:
         print(render_report(labeled[0][1], args.format), end="")
     else:
@@ -361,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: --out-dir)")
     p.add_argument("--import-csv", dest="import_csv",
                    help="skip measuring; compute speedups from a records CSV")
-    p.add_argument("--threads-sweep", dest="threads_sweep")
+    p.add_argument("--threads-sweep", dest="thread_sweep")
     p.add_argument("--repetitions", type=int)
     p.add_argument("--lock-file")
     p.set_defaults(func=cmd_bench)

@@ -53,6 +53,11 @@ class PipelineConfig:
             raise InvalidInputError("temperature must be >= 0")
         if not self.thread_sweep or any(t < 1 for t in self.thread_sweep):
             raise InvalidInputError("thread_sweep must contain positive thread counts")
+        # With no thread count only the serial binary would run: a vacuous Pass.
+        if not self.differential_threads or any(t < 1 for t in self.differential_threads):
+            raise InvalidInputError("differential_threads must contain positive thread counts")
+        if self.workers < 1:
+            raise InvalidInputError("workers must be >= 1")
 
 
 def _parse_value(name: str, raw: str):

@@ -14,7 +14,6 @@ import logging
 import math
 import re
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 import requests
 
 from .errors import InvalidInputError, ProviderError
+from .retry import post_with_retry
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class EmbeddingVector:
         vals = [float(v) for v in values]
         if not all(math.isfinite(v) for v in vals):
             raise InvalidInputError("raw vector has non-finite components")
-        norm = math.sqrt(math.fsum(v * v for v in vals))
+        norm = math.hypot(*vals)  # squares of tiny components would underflow to 0
         if norm == 0.0:
             raise InvalidInputError("cannot normalize the all-zero vector")
         return cls(tuple(v / norm for v in vals), len(vals), provider_tag)
@@ -178,36 +178,18 @@ class RemoteEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         if not text or not text.strip():
             raise InvalidInputError("cannot embed empty text")
-        payload = {"model": self.model, "input": [text]}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                with self._slots:
-                    response = self._session.post(
-                        self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = ProviderError(f"embedding request failed: {exc}")
-                continue
-            if response.status_code == 200:
-                return self._parse(response)
-            if response.status_code in (429,) or response.status_code >= 500:
-                last_error = ProviderError(
-                    f"embedding endpoint returned {response.status_code}, retrying",
-                    status=response.status_code,
-                )
-                continue
-            raise ProviderError(
-                f"embedding endpoint returned {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        assert last_error is not None
-        raise last_error
+        response = post_with_retry(
+            self._session,
+            self._slots,
+            self.endpoint,
+            {"model": self.model, "input": [text]},
+            api_key=self.api_key,
+            timeout=self.timeout,
+            attempts=self.attempts,
+            backoff_base=self.backoff_base,
+            what="embedding",
+        )
+        return self._parse(response)
 
     def _parse(self, response: requests.Response) -> EmbeddingVector:
         try:
@@ -223,8 +205,3 @@ class RemoteEmbedder:
                     f"embedding dimension changed: expected {self._dimension}, got {len(raw)}"
                 )
         return EmbeddingVector.from_raw(raw, self.provider_tag)
-
-
-def embed(text: str, provider) -> EmbeddingVector:
-    """Embed text with the given provider handle."""
-    return provider.embed(text)

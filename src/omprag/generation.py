@@ -18,6 +18,7 @@ from pathlib import Path
 import requests
 
 from .errors import InvalidInputError, ProviderError, ReplayMissError
+from .retry import post_with_retry
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +105,7 @@ class ChatHttpProvider:
     """Chat-completions wire format over HTTP.
 
     The whole rendered prompt goes into a single user message; no system
-    message is sent. Transport failures retry with exponential backoff.
+    message is sent. Retries follow ``retry.post_with_retry``.
     """
 
     def __init__(
@@ -136,38 +137,21 @@ class ChatHttpProvider:
             "temperature": request.temperature,
             "messages": [{"role": "user", "content": request.prompt}],
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                with self._slots:
-                    response = self._session.post(
-                        self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = ProviderError(f"chat request failed: {exc}")
-                continue
-            if response.status_code == 200:
-                try:
-                    return response.json()["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, ValueError) as exc:
-                    raise ProviderError(f"malformed chat response: {exc}") from exc
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = ProviderError(
-                    f"chat endpoint returned {response.status_code}, retrying",
-                    status=response.status_code,
-                )
-                continue
-            raise ProviderError(
-                f"chat endpoint returned {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        assert last_error is not None
-        raise last_error
+        response = post_with_retry(
+            self._session,
+            self._slots,
+            self.endpoint,
+            payload,
+            api_key=self.api_key,
+            timeout=self.timeout,
+            attempts=self.attempts,
+            backoff_base=self.backoff_base,
+            what="chat",
+        )
+        try:
+            return response.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ProviderError(f"malformed chat response: {exc}") from exc
 
 
 def record_path(replay_dir: Path | str, case_id: str) -> Path:

@@ -351,7 +351,9 @@ def _inject_result_harness(code: str, printed: list[str]) -> str:
     main_match = re.search(r"\bint\s+main\s*\([^)]*\)\s*{", code)
     if not main_match:
         return code
-    prints = [
+    # 17 significant digits (max_digits10) print a double exactly, so the
+    # differential tolerance compares the values and not 6-digit roundings.
+    prints = [f"    std::cout.precision(17); {CANONICAL_MARK}"] + [
         f'    std::cout << "RESULT {re.sub(r"[^A-Za-z0-9]+", "_", expr).strip("_")}=" '
         f'<< ({expr}) << "\\n"; {CANONICAL_MARK}'
         for expr in live

@@ -153,7 +153,3 @@ def build_index(manifest: CorpusManifest, provider) -> VectorIndex:
     index = VectorIndex(entries, provider.provider_tag, entries[0].vector.dimension)
     log.info("built index of %d entries (provider %s)", len(index), index.provider_tag)
     return index
-
-
-def query_topk(index: VectorIndex, query_vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
-    return index.query_topk(query_vector, k)

@@ -28,14 +28,14 @@ from .errors import InvalidInputError, ProviderError, ReplayMissError, UsageErro
 from .generation import GenerationRequest, generate
 from .index import VectorIndex
 from .prompt import build_prompt
+from .tables import render_table
 from .validation import (
     CaseSpec,
     ValidationReport,
-    Verdict,
     classify_failure,
     compile_gate,
     differential_validate,
-    save_reports,
+    save_jsonl,
 )
 
 log = logging.getLogger(__name__)
@@ -127,7 +127,7 @@ def transform_cases(
 ) -> None:
     out_dir = Path(out_dir)
     todo = [c for c in cases if not c.unparallelizable]
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(transform_case, case, cfg, deps, out_dir) for case in todo]
         for future in futures:
             future.result()
@@ -136,40 +136,23 @@ def transform_cases(
 def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> ValidationReport:
     """Compile gate + classification + differential check for one case."""
     if case.unparallelizable:
-        return ValidationReport(
-            case_id=case.case_id,
-            compile_ok=False,
-            failure_category=None,
-            diagnostics="excluded: case is marked unparallelizable",
-            differential_verdict=Verdict.SKIPPED,
-            threads_tested=[],
-            excluded_unparallelizable=True,
-        )
+        return ValidationReport(case.case_id, False, excluded_unparallelizable=True,
+                                diagnostics="excluded: case is marked unparallelizable")
     case_dir = _case_dir(out_dir, case.case_id)
     error_path = case_dir / "transform_error.txt"
     generated_path = case_dir / "generated.cpp"
     reply_path = case_dir / "reply.txt"
     if error_path.is_file():
-        return ValidationReport(
-            case_id=case.case_id,
-            compile_ok=False,
-            failure_category=None,
-            diagnostics="generation failed: " + error_path.read_text(encoding="utf-8").strip(),
-            differential_verdict=Verdict.SKIPPED,
-        )
+        error = error_path.read_text(encoding="utf-8").strip()
+        return ValidationReport(case.case_id, False, diagnostics="generation failed: " + error)
     if not generated_path.is_file():
         if not reply_path.is_file():
             raise UsageError(
                 f"no transform artifacts for case {case.case_id!r} under {case_dir}; "
                 f"run the transform stage first"
             )
-        return ValidationReport(
-            case_id=case.case_id,
-            compile_ok=False,
-            failure_category=None,
-            diagnostics="model reply contained no code block",
-            differential_verdict=Verdict.SKIPPED,
-        )
+        return ValidationReport(case.case_id, False,
+                                diagnostics="model reply contained no code block")
 
     generated = generated_path.read_text(encoding="utf-8")
     parallel = compile_gate(
@@ -180,13 +163,8 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         timeout=cfg.compile_timeout,
     )
     if not parallel.ok:
-        return ValidationReport(
-            case_id=case.case_id,
-            compile_ok=False,
-            failure_category=classify_failure(parallel.diagnostics, generated),
-            diagnostics=parallel.diagnostics,
-            differential_verdict=Verdict.SKIPPED,
-        )
+        category = classify_failure(parallel.diagnostics, generated)
+        return ValidationReport(case.case_id, False, category, parallel.diagnostics)
 
     serial_source = Path(case.serial_path).read_text(encoding="utf-8")
     serial = compile_gate(
@@ -199,13 +177,7 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
     if not serial.ok:
         log.warning("serial source for %s no longer compiles; skipping differential",
                     case.case_id)
-        return ValidationReport(
-            case_id=case.case_id,
-            compile_ok=True,
-            failure_category=None,
-            diagnostics=parallel.diagnostics,
-            differential_verdict=Verdict.SKIPPED,
-        )
+        return ValidationReport(case.case_id, True, diagnostics=parallel.diagnostics)
     verdict = differential_validate(
         serial.binary,
         parallel.binary,
@@ -213,21 +185,15 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         case.input_args,
         timeout=cfg.run_timeout,
     )
-    return ValidationReport(
-        case_id=case.case_id,
-        compile_ok=True,
-        failure_category=None,
-        diagnostics=parallel.diagnostics,
-        differential_verdict=verdict,
-        threads_tested=list(cfg.differential_threads),
-    )
+    return ValidationReport(case.case_id, True, None, parallel.diagnostics, verdict,
+                            list(cfg.differential_threads))
 
 
 def validate_cases(
     cases: list[CaseSpec], cfg: PipelineConfig, out_dir: Path | str
 ) -> list[ValidationReport]:
     out_dir = Path(out_dir)
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(validate_case, case, cfg, out_dir) for case in cases]
         reports = [future.result() for future in futures]
     for report in reports:
@@ -246,12 +212,19 @@ def run_pipeline(
     Environment failures propagate and abort; per-case failures land in
     the reports. Report order follows the case manifest.
     """
+    transform_cases(cases, cfg, deps, out_dir)
+    return validate_and_report(cases, cfg, out_dir)
+
+
+def validate_and_report(
+    cases: list[CaseSpec], cfg: PipelineConfig, out_dir: Path | str
+) -> tuple[list[ValidationReport], RunSummary]:
+    """Validate every case and write reports.jsonl, summary.json and summary.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    transform_cases(cases, cfg, deps, out_dir)
     reports = validate_cases(cases, cfg, out_dir)
     summary = summarize(reports)
-    save_reports(reports, out_dir / "reports.jsonl")
+    save_jsonl(reports, out_dir / "reports.jsonl")
     (out_dir / "summary.json").write_text(
         json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
@@ -321,17 +294,10 @@ def render_comparison(labeled: list[tuple[str, RunSummary]]) -> str:
         raise InvalidInputError("nothing to compare")
     metric_names = [name for name, _ in _summary_rows(labeled[0][1])]
     columns = {label: dict(_summary_rows(summary)) for label, summary in labeled}
-    header = ["Metric"] + [label for label, _ in labeled]
-    table = [header]
-    for name in metric_names:
-        table.append([name] + [columns[label][name] for label, _ in labeled])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+    return render_table(
+        [["Metric"] + [label for label, _ in labeled]]
+        + [[name] + [columns[label][name] for label, _ in labeled] for name in metric_names]
+    )
 
 
 def report(reports: list[ValidationReport], fmt: str = "text") -> str:

@@ -16,6 +16,7 @@ import re
 import shlex
 import shutil
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -57,9 +58,9 @@ class Verdict(str, Enum):
 class ValidationReport:
     case_id: str
     compile_ok: bool
-    failure_category: FailureCategory | None
-    diagnostics: str
-    differential_verdict: Verdict
+    failure_category: FailureCategory | None = None
+    diagnostics: str = ""
+    differential_verdict: Verdict = Verdict.SKIPPED
     threads_tested: list[int] = field(default_factory=list)
     excluded_unparallelizable: bool = False
 
@@ -100,22 +101,29 @@ class ValidationReport:
         return report
 
 
-def save_reports(reports: list[ValidationReport], path: Path | str) -> None:
-    lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in reports]
+def save_jsonl(records: list, path: Path | str) -> None:
+    """Write one JSON object per line, from each record's ``to_dict()``."""
+    lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_reports(path: Path | str) -> list[ValidationReport]:
-    reports = []
+def load_jsonl(path: Path | str, record_type) -> list:
+    """Read the records ``save_jsonl`` wrote, through ``record_type.from_dict``.
+
+    Blank lines are skipped; a malformed record raises ParseError naming its line.
+    """
+    records = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                reports.append(ValidationReport.from_dict(json.loads(line)))
-            except (KeyError, ValueError, InvalidInputError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad report record: {exc}") from exc
-    return reports
+                records.append(record_type.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+                raise ParseError(
+                    f"{path}:{lineno}: bad {record_type.__name__} record: {exc}"
+                ) from exc
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +281,11 @@ def _run_binary(
     input_args: list[str],
     timeout: float,
     threads: int | None = None,
-) -> tuple[int | None, str]:
-    """Returns (exit_code, stdout); exit_code None means the run timed out."""
+) -> tuple[int | None, str, str]:
+    """Run a case binary, with OMP_NUM_THREADS set when threads is given.
+
+    Returns (exit_code, stdout, stderr); exit_code None means the run timed out.
+    """
     env = dict(os.environ)
     if threads is not None:
         env[OMP_THREADS_VAR] = str(threads)
@@ -287,8 +298,8 @@ def _run_binary(
             env=env,
         )
     except subprocess.TimeoutExpired:
-        return None, ""
-    return proc.returncode, proc.stdout
+        return None, "", ""
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def differential_validate(
@@ -302,12 +313,12 @@ def differential_validate(
 ) -> Verdict:
     """Pass iff the parallel output matches serial at every thread count."""
     input_args = list(input_args or [])
-    code, serial_out = _run_binary(serial_binary, input_args, timeout)
+    code, serial_out, _ = _run_binary(serial_binary, input_args, timeout)
     if code != 0:
         log.warning("serial binary %s exited with %s", serial_binary, code)
         return Verdict.RUNTIME_ERROR
     for threads in thread_counts:
-        code, parallel_out = _run_binary(parallel_binary, input_args, timeout, threads=threads)
+        code, parallel_out, _ = _run_binary(parallel_binary, input_args, timeout, threads=threads)
         if code != 0:
             log.warning(
                 "parallel binary %s exited with %s at %d threads",
@@ -339,31 +350,20 @@ class CaseSpec:
             "unparallelizable": self.unparallelizable,
         }
 
-
-def save_case_manifest(cases: list[CaseSpec], path: Path | str) -> None:
-    lines = [json.dumps(c.to_dict(), ensure_ascii=False) for c in cases]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    @classmethod
+    def from_dict(cls, record: dict) -> "CaseSpec":
+        return cls(
+            case_id=record["case_id"],
+            serial_path=record["serial_path"],
+            input_args=[str(a) for a in record.get("input_args", [])],
+            unparallelizable=bool(record.get("unparallelizable", False)),
+        )
 
 
 def load_case_manifest(path: Path | str) -> list[CaseSpec]:
-    cases = []
-    seen: set[str] = set()
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                case = CaseSpec(
-                    case_id=record["case_id"],
-                    serial_path=record["serial_path"],
-                    input_args=[str(a) for a in record.get("input_args", [])],
-                    unparallelizable=bool(record.get("unparallelizable", False)),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad case record: {exc}") from exc
-            if case.case_id in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate case_id {case.case_id!r}")
-            seen.add(case.case_id)
-            cases.append(case)
+    """Load a case manifest written by ``save_jsonl``; case ids must be unique."""
+    cases = load_jsonl(path, CaseSpec)
+    duplicates = [i for i, n in Counter(c.case_id for c in cases).items() if n > 1]
+    if duplicates:
+        raise ParseError(f"{path}: duplicate case_id {duplicates[0]!r}")
     return cases

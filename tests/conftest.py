@@ -18,7 +18,7 @@ from omprag.embedding import HashedTfidfEmbedder
 from omprag.generation import write_record
 from omprag.index import VectorIndex, build_index
 from omprag.prompt import build_prompt, default_template
-from omprag.validation import CaseSpec, save_case_manifest
+from omprag.validation import CaseSpec, save_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -148,7 +148,7 @@ def mini_env(tmp_path_factory) -> MiniEnv:
         for i in range(1, 6)
     ]
     case_manifest_path = base / "cases.jsonl"
-    save_case_manifest(cases, case_manifest_path)
+    save_jsonl(cases, case_manifest_path)
 
     template = default_template()
     cfg = load_config()  # defaults: k=4

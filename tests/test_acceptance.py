@@ -25,11 +25,12 @@ from omprag.index import IndexEntry, VectorIndex
 from omprag.pipeline import PipelineDeps, report, run_pipeline, summarize
 from omprag.validation import (
     FailureCategory,
+    ValidationReport,
     Verdict,
     classify_failure,
     compile_gate,
     differential_validate,
-    load_reports,
+    load_jsonl,
 )
 
 from conftest import FIXTURES, requires_compiler
@@ -112,8 +113,8 @@ def test_criterion_01_retrieval_exactness():
 
 def test_criterion_02_outcome_summary_arithmetic():
     start = time.perf_counter()
-    baseline = load_reports(DATA / "reference_outcomes" / "baseline.jsonl")
-    augmented = load_reports(DATA / "reference_outcomes" / "augmented.jsonl")
+    baseline = load_jsonl(DATA / "reference_outcomes" / "baseline.jsonl", ValidationReport)
+    augmented = load_jsonl(DATA / "reference_outcomes" / "augmented.jsonl", ValidationReport)
     assert len(baseline) == len(augmented) == 108
 
     b = summarize(baseline)

@@ -12,7 +12,6 @@ from omprag.embedding import (
     HashedTfidfEmbedder,
     RemoteEmbedder,
     cosine_similarity,
-    embed,
 )
 from omprag.errors import InvalidInputError, ProviderError
 
@@ -30,6 +29,10 @@ class TestEmbeddingVector:
     def test_zero_vector_forbidden(self):
         with pytest.raises(InvalidInputError):
             _vec([0.0, 0.0, 0.0])
+
+    def test_tiny_components_are_not_zero(self):
+        # 2.2e-241 squared underflows to 0.0; the norm itself must not.
+        assert _vec([0.0, 0.0, 0.0, 2.2e-241]).values == (0.0, 0.0, 0.0, 1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -107,8 +110,6 @@ class TestLocalEmbedder:
             e.embed("")
         with pytest.raises(InvalidInputError):
             e.embed("   \n ")
-        with pytest.raises(InvalidInputError):
-            embed("", e)
 
     def test_dimension_and_tag(self):
         e = HashedTfidfEmbedder()

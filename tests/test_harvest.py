@@ -18,7 +18,7 @@ from omprag.harvest import (
     extract_code_blocks,
     fetch_candidates,
 )
-from omprag.validation import load_case_manifest, save_case_manifest
+from omprag.validation import load_case_manifest, save_jsonl
 
 from conftest import FIXTURES, requires_compiler
 
@@ -221,7 +221,7 @@ class TestCompileFilterAndManifest:
         assert [s.case_id for s in specs] == ["case1"]
         assert Path(specs[0].serial_path).is_file()
         manifest_path = tmp_path / "cases.jsonl"
-        save_case_manifest(specs, manifest_path)
+        save_jsonl(specs, manifest_path)
         assert load_case_manifest(manifest_path) == specs
 
     def test_undeclared_identifier_rejected(self, tmp_path):
@@ -272,3 +272,33 @@ class TestCompileFilterAndManifest:
         out = subprocess.run([str(binary)], capture_output=True, text=True, timeout=30)
         assert out.returncode == 0
         assert out.stdout.strip() == "RESULT largest=961"
+
+    def test_harness_prints_doubles_exactly(self, tmp_path):
+        import subprocess
+
+        code = "\n".join([
+            "#include <cstdio>",
+            "int main() {",
+            "    const int n = 10;",
+            "    double step = 0.1;",
+            "    double s = 0.0;",
+            "    for (int i = 0; i < n; ++i) {",
+            "        s += step;",
+            "    }",
+            "    if (s < 0.0) {",
+            "        return 1;",
+            "    }",
+            '    printf("%f\\n", s);',
+            "    return 0;",
+            "}",
+        ])
+        survivor = compile_filter(clean_and_filter(_candidate(code)), tmp_path / "gate")
+        assert survivor.rejection_reason is None
+        out = subprocess.run([str(tmp_path / "gate" / "case.bin")],
+                             capture_output=True, text=True, timeout=30)
+        expected = 0.0
+        for _ in range(10):
+            expected += 0.1
+        # 0.9999999999999999: six significant digits would print it as 1
+        assert out.stdout.startswith("RESULT s=")
+        assert float(out.stdout.strip().removeprefix("RESULT s=")) == expected

@@ -8,7 +8,7 @@ import pytest
 from omprag.corpus import CorpusChunk, CorpusManifest
 from omprag.embedding import EmbeddingVector, HashedTfidfEmbedder
 from omprag.errors import IntegrityError, InvalidInputError, ProviderError
-from omprag.index import IndexEntry, RetrievalHit, VectorIndex, build_index, query_topk
+from omprag.index import IndexEntry, RetrievalHit, VectorIndex, build_index
 
 TAG = "test-space"
 
@@ -144,7 +144,7 @@ def test_persistence_round_trip_preserves_queries(tmp_path):
     index.save(path)
     loaded = VectorIndex.load(path)
     query = _unit(rng, 8)
-    assert query_topk(loaded, query, 6) == index.query_topk(query, 6)
+    assert loaded.query_topk(query, 6) == index.query_topk(query, 6)
 
 
 def test_provider_tag_mismatch_on_query():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from omprag.cli import _config_from_args, build_parser
 from omprag.cli import main as cli_main
 from omprag.config import load_config
 from omprag.errors import InvalidInputError, UsageError
@@ -22,7 +23,7 @@ from omprag.validation import (
     FailureCategory,
     ValidationReport,
     Verdict,
-    load_reports,
+    load_jsonl,
 )
 
 from conftest import FIXTURES, requires_compiler
@@ -80,7 +81,7 @@ class TestSummarize:
 
 class TestReport:
     def _load(self, name):
-        return load_reports(REFERENCE_OUTCOMES / f"{name}.jsonl")
+        return load_jsonl(REFERENCE_OUTCOMES / f"{name}.jsonl", ValidationReport)
 
     def test_text_contains_counts_and_rates(self):
         text = report(self._load("baseline"), "text")
@@ -228,7 +229,7 @@ class TestCli:
         assert (tmp_path / "i.jsonl").is_file()
 
     def test_staged_equals_end_to_end(self, mini_env, tmp_path):
-        """transform + validate through the CLI == run, byte for byte."""
+        """transform + validate through the CLI write run's three outputs, byte for byte."""
         common = [
             "--case-manifest", str(mini_env.case_manifest_path),
             "--corpus-manifest", str(mini_env.corpus_manifest_path),
@@ -243,7 +244,8 @@ class TestCli:
         ]) == 0
         direct = tmp_path / "direct"
         assert cli_main(["run", *common, "--out-dir", str(direct)]) == 0
-        assert (staged / "reports.jsonl").read_bytes() == (direct / "reports.jsonl").read_bytes()
+        for name in ("reports.jsonl", "summary.json", "summary.txt"):
+            assert (staged / name).read_bytes() == (direct / name).read_bytes(), name
 
     def test_report_command_single_and_comparison(self, capsys):
         rc = cli_main([
@@ -289,13 +291,13 @@ class TestCli:
 
     def test_per_case_failures_keep_exit_zero(self, mini_env, tmp_path):
         """A case with no replay record is data, not a process failure."""
-        from omprag.validation import save_case_manifest
+        from omprag.validation import save_jsonl
 
         cases = mini_env.cases + [
             CaseSpec("case_unrecorded", str(FIXTURES / "cases" / "case1.cc"))
         ]
         manifest = tmp_path / "cases.jsonl"
-        save_case_manifest(cases, manifest)
+        save_jsonl(cases, manifest)
         rc = cli_main([
             "run",
             "--case-manifest", str(manifest),
@@ -305,7 +307,7 @@ class TestCli:
             "--out-dir", str(tmp_path / "o"),
         ])
         assert rc == 0
-        reports = load_reports(tmp_path / "o" / "reports.jsonl")
+        reports = load_jsonl(tmp_path / "o" / "reports.jsonl", ValidationReport)
         assert any(not r.compile_ok for r in reports)
 
     def test_config_file_and_flag_precedence(self, mini_env, tmp_path):
@@ -321,6 +323,22 @@ class TestCli:
         assert cfg.k == 2
         cfg = load_config(config, overrides={"profile": "rag"})
         assert cfg.profile == "rag"
+
+    def test_bench_repetitions_flag_reaches_config(self):
+        args = build_parser().parse_args(
+            ["bench", "--case-manifest", "x", "--repetitions", "7", "--threads-sweep", "1,2"]
+        )
+        cfg = _config_from_args(args)
+        assert cfg.repetitions == 7
+        assert cfg.thread_sweep == (1, 2)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"workers": 0}, {"differential_threads": ()}, {"differential_threads": (1, 0)}],
+    )
+    def test_meaningless_settings_refused(self, overrides):
+        with pytest.raises(InvalidInputError):
+            load_config(overrides=overrides, env={})
 
     def test_env_beats_file_flags_beat_env(self, tmp_path):
         config = tmp_path / "run.ini"

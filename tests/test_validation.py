@@ -14,11 +14,10 @@ from omprag.validation import (
     compile_gate,
     differential_validate,
     load_case_manifest,
-    load_reports,
+    load_jsonl,
     normalize_output,
     outputs_match,
-    save_case_manifest,
-    save_reports,
+    save_jsonl,
 )
 
 from conftest import FIXTURES, requires_compiler
@@ -247,8 +246,8 @@ class TestPersistence:
             ),
         ]
         path = tmp_path / "reports.jsonl"
-        save_reports(reports, path)
-        assert load_reports(path) == reports
+        save_jsonl(reports, path)
+        assert load_jsonl(path, ValidationReport) == reports
 
     def test_invariants_enforced_on_load(self, tmp_path):
         path = tmp_path / "reports.jsonl"
@@ -258,7 +257,7 @@ class TestPersistence:
             '"excluded_unparallelizable": false}\n'
         )
         with pytest.raises(ParseError):
-            load_reports(path)
+            load_jsonl(path, ValidationReport)
 
     def test_case_manifest_round_trip(self, tmp_path):
         cases = [
@@ -266,8 +265,14 @@ class TestPersistence:
             CaseSpec("case2", "cases/case2.cc", [], True),
         ]
         path = tmp_path / "cases.jsonl"
-        save_case_manifest(cases, path)
+        save_jsonl(cases, path)
         assert load_case_manifest(path) == cases
+
+    def test_non_object_record_is_parse_error(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"case_id": "c", "serial_path": "a.cc"}\n["c", "a.cc"]\n')
+        with pytest.raises(ParseError, match=":2:"):
+            load_case_manifest(path)
 
     def test_duplicate_case_id_rejected(self, tmp_path):
         path = tmp_path / "cases.jsonl"
