@@ -229,18 +229,24 @@ def write_speedups_csv(rows: list[SpeedupRow], path: Path | str) -> None:
             writer.writerow([row.case_id, row.threads, f"{row.speedup:.3f}"])
 
 
-def write_speedup_series(rows: list[SpeedupRow], path: Path | str) -> None:
-    """Plot-ready wide layout: one row per thread count, one column per case."""
+def _pivot(cells) -> tuple[list[str], list[int], dict[tuple[str, int], float]]:
+    """(cases in first-seen order, sorted thread counts, value by (case, threads))
+    from (case_id, threads, value) triples."""
     cases: list[str] = []
     threads: list[int] = []
     values: dict[tuple[str, int], float] = {}
-    for row in rows:
-        if row.case_id not in cases:
-            cases.append(row.case_id)
-        if row.threads not in threads:
-            threads.append(row.threads)
-        values[(row.case_id, row.threads)] = row.speedup
-    threads.sort()
+    for case_id, t, value in cells:
+        if case_id not in cases:
+            cases.append(case_id)
+        if t not in threads:
+            threads.append(t)
+        values[(case_id, t)] = value
+    return cases, sorted(threads), values
+
+
+def write_speedup_series(rows: list[SpeedupRow], path: Path | str) -> None:
+    """Plot-ready wide layout: one row per thread count, one column per case."""
+    cases, threads, values = _pivot((r.case_id, r.threads, r.speedup) for r in rows)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threads"] + cases)
@@ -252,16 +258,7 @@ def write_speedup_series(rows: list[SpeedupRow], path: Path | str) -> None:
 
 def render_runtime_table(records: list[BenchRecord]) -> str:
     """Plain-text runtimes table: one case per row, one column per thread count."""
-    cases: list[str] = []
-    threads: list[int] = []
-    walls: dict[tuple[str, int], float] = {}
-    for r in records:
-        if r.case_id not in cases:
-            cases.append(r.case_id)
-        if r.threads not in threads:
-            threads.append(r.threads)
-        walls[(r.case_id, r.threads)] = r.wall_seconds
-    threads.sort()
+    cases, threads, walls = _pivot((r.case_id, r.threads, r.wall_seconds) for r in records)
     header = ["Case"] + [f"{t} thread{'s' if t != 1 else ''} (s)" for t in threads]
     return render_table(
         [header]

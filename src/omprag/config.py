@@ -58,19 +58,21 @@ class PipelineConfig:
             raise InvalidInputError("differential_threads must contain positive thread counts")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
+        # A zero or negative timeout turns every compile or run into a timeout.
+        for name in ("compile_timeout", "run_timeout", "repetitions"):
+            if not getattr(self, name) > 0:
+                raise InvalidInputError(f"{name} must be > 0")
 
 
 def _parse_value(name: str, raw: str):
-    if name in ("thread_sweep", "differential_threads"):
-        try:
+    """Parse a setting to the type of its default; a tuple is a comma list of ints."""
+    kind = type(getattr(PipelineConfig, name))
+    try:
+        if kind is tuple:
             return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad thread list for {name}: {raw!r}") from exc
-    if name in ("k", "repetitions", "workers"):
-        return int(raw)
-    if name in ("temperature", "compile_timeout", "run_timeout"):
-        return float(raw)
-    return raw
+        return kind(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {kind.__name__} value for {name}: {raw!r}") from exc
 
 
 def load_config(

@@ -31,22 +31,31 @@ NORM_TOLERANCE = 1e-6
 _TOKEN_RE = re.compile(r"[a-z0-9_#]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__/__hash__ over an ndarray raises
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """A unit vector: ``values`` is a read-only 1-D float64 array."""
+
+    values: np.ndarray
     dimension: int
     provider_tag: str
 
     def __post_init__(self):
-        if len(self.values) != self.dimension:
-            raise InvalidInputError(
-                f"vector length {len(self.values)} != dimension {self.dimension}"
-            )
-        if not all(math.isfinite(v) for v in self.values):
+        try:
+            values = np.array(self.values)  # a private copy the caller cannot mutate
+        except ValueError as exc:  # a ragged component list
+            raise InvalidInputError(f"vector components are not numbers: {exc}") from exc
+        if values.dtype.kind not in "iuf":  # strings, None, bools and objects
+            raise InvalidInputError(f"vector components are not numbers ({values.dtype})")
+        values = values.astype(np.float64, copy=False)
+        if values.shape != (self.dimension,):
+            raise InvalidInputError(f"vector shape {values.shape} != ({self.dimension},)")
+        if not np.isfinite(values).all():
             raise InvalidInputError("vector has non-finite components")
-        norm = math.sqrt(math.fsum(v * v for v in self.values))
+        norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise InvalidInputError(f"vector is not unit-normalized (L2 norm {norm})")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_raw(cls, values, provider_tag: str) -> "EmbeddingVector":
@@ -57,7 +66,7 @@ class EmbeddingVector:
         norm = math.hypot(*vals)  # squares of tiny components would underflow to 0
         if norm == 0.0:
             raise InvalidInputError("cannot normalize the all-zero vector")
-        return cls(tuple(v / norm for v in vals), len(vals), provider_tag)
+        return cls(np.array(vals) / norm, len(vals), provider_tag)
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -69,7 +78,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
             f"vectors from different providers are not comparable: "
             f"{a.provider_tag!r} vs {b.provider_tag!r}"
         )
-    return float(np.dot(np.asarray(a.values), np.asarray(b.values)))
+    return float(np.dot(a.values, b.values))
 
 
 def tokenize(text: str) -> list[str]:
@@ -133,7 +142,7 @@ class HashedTfidfEmbedder:
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise InvalidInputError("text hashed to the zero vector (sign cancellation)")
-        return EmbeddingVector(tuple(float(v) for v in vec / norm), self.dimension, self._tag)
+        return EmbeddingVector(vec / norm, self.dimension, self._tag)
 
 
 class RemoteEmbedder:

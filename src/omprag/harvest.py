@@ -13,14 +13,14 @@ import html
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import requests
 
 from .errors import FetchError, InvalidInputError, ReplayMissError
-from .validation import CaseSpec, compile_gate
+from .validation import DEFAULT_COMPILE_CMD, CaseSpec, compile_gate
 
 log = logging.getLogger(__name__)
 
@@ -402,47 +402,26 @@ def clean_and_filter(
         reason = RejectionReason.TOO_SHORT
 
     if reason is not None:
-        return SnippetCandidate(
-            origin_url=candidate.origin_url,
-            category=candidate.category,
-            raw_code=candidate.raw_code,
-            cleaned_code=None,
-            rejection_reason=reason,
-        )
+        return replace(candidate, cleaned_code=None, rejection_reason=reason, printed_exprs=[])
     code = _inject_result_harness(code, printed)
-    return SnippetCandidate(
-        origin_url=candidate.origin_url,
-        category=candidate.category,
-        raw_code=candidate.raw_code,
-        cleaned_code=code,
-        rejection_reason=None,
-        printed_exprs=printed,
-    )
+    return replace(candidate, cleaned_code=code, rejection_reason=None, printed_exprs=printed)
 
 
 def compile_filter(
     candidate: SnippetCandidate,
     work_dir: Path | str,
     *,
-    compile_cmd: str | None = None,
+    compile_cmd: str = DEFAULT_COMPILE_CMD,
 ) -> SnippetCandidate:
     """Reject cleaned candidates that do not compile as plain C++17."""
     if candidate.cleaned_code is None:
         raise InvalidInputError("compile_filter requires a cleaned candidate")
-    kwargs = {"openmp": False}
-    if compile_cmd is not None:
-        kwargs["compile_cmd"] = compile_cmd
-    result = compile_gate(candidate.cleaned_code, work_dir, **kwargs)
+    result = compile_gate(candidate.cleaned_code, work_dir, openmp=False, compile_cmd=compile_cmd)
     if result.ok:
         return candidate
     log.info("candidate from %s rejected by compile gate", candidate.origin_url or "<unknown>")
-    return SnippetCandidate(
-        origin_url=candidate.origin_url,
-        category=candidate.category,
-        raw_code=candidate.raw_code,
-        cleaned_code=None,
-        rejection_reason=RejectionReason.COMPILE_FAIL,
-    )
+    return replace(candidate, cleaned_code=None, rejection_reason=RejectionReason.COMPILE_FAIL,
+                   printed_exprs=[])
 
 
 def build_case_manifest(

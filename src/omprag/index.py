@@ -98,7 +98,7 @@ class VectorIndex:
         lines = [header]
         for entry in self.entries:
             lines.append(
-                json.dumps({"chunk_id": entry.chunk_id, "vector": list(entry.vector.values)})
+                json.dumps({"chunk_id": entry.chunk_id, "vector": entry.vector.values.tolist()})
             )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -117,14 +117,8 @@ class VectorIndex:
                 if not line.strip():
                     continue
                 record = json.loads(line)
-                entries.append(
-                    IndexEntry(
-                        chunk_id=record["chunk_id"],
-                        vector=EmbeddingVector(
-                            tuple(record["vector"]), dimension, provider_tag
-                        ),
-                    )
-                )
+                vector = EmbeddingVector(record["vector"], dimension, provider_tag)
+                entries.append(IndexEntry(record["chunk_id"], vector))
         if len(entries) != int(header["count"]):
             raise IntegrityError(
                 f"index file {path}: header count {header['count']} != {len(entries)} entries"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ def _vec(values, tag="test"):
 class TestEmbeddingVector:
     def test_normalization(self):
         v = _vec([3.0, 4.0])
-        assert v.values == (0.6, 0.8)
+        assert tuple(v.values) == (0.6, 0.8)
         assert v.dimension == 2
 
     def test_zero_vector_forbidden(self):
@@ -32,7 +33,7 @@ class TestEmbeddingVector:
 
     def test_tiny_components_are_not_zero(self):
         # 2.2e-241 squared underflows to 0.0; the norm itself must not.
-        assert _vec([0.0, 0.0, 0.0, 2.2e-241]).values == (0.0, 0.0, 0.0, 1.0)
+        assert tuple(_vec([0.0, 0.0, 0.0, 2.2e-241]).values) == (0.0, 0.0, 0.0, 1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -51,10 +52,32 @@ class TestEmbeddingVector:
     def test_normalizing_is_idempotent(self):
         v = _vec([1.0, 2.0, 2.0])
         again = EmbeddingVector.from_raw(v.values, v.provider_tag)
-        assert again.values == v.values
+        assert tuple(again.values) == tuple(v.values)
 
     def test_scale_invariance(self):
-        assert _vec([1.0, 2.0]).values == _vec([10.0, 20.0]).values
+        assert tuple(_vec([1.0, 2.0]).values) == tuple(_vec([10.0, 20.0]).values)
+
+    def test_values_are_a_read_only_float64_array(self):
+        v = _vec([3.0, 4.0])
+        assert isinstance(v.values, np.ndarray)
+        assert v.values.dtype == np.float64 and v.values.shape == (2,)
+        with pytest.raises(ValueError):
+            v.values[0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        source = np.array([0.6, 0.8])
+        v = EmbeddingVector(source, 2, "t")
+        source[0] = 0.8
+        source[1] = 0.6
+        assert tuple(v.values) == (0.6, 0.8)
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values", [["x", 1.0], [None, 1.0], ["0.6", "0.8"], [[0.6, 0.8]], [[1.0], [0.0, 1.0]]]
+    )
+    def test_non_numeric_or_nested_components_rejected(self, values):
+        with pytest.raises(InvalidInputError):
+            EmbeddingVector(values, 2, "t")
 
 
 class TestCosineSimilarity:
@@ -97,7 +120,7 @@ class TestLocalEmbedder:
     def test_deterministic_bitwise(self):
         e = HashedTfidfEmbedder()
         text = "#pragma omp parallel for reduction(+:sum)"
-        assert e.embed(text).values == e.embed(text).values
+        assert tuple(e.embed(text).values) == tuple(e.embed(text).values)
 
     def test_disjoint_terms_cosine_zero(self):
         e = HashedTfidfEmbedder()
@@ -123,7 +146,7 @@ class TestLocalEmbedder:
         e1 = HashedTfidfEmbedder().fit(corpus)
         e2 = HashedTfidfEmbedder().fit(corpus)
         assert e1.provider_tag == e2.provider_tag != "local-tfidf-512"
-        assert e1.embed("reduction").values == e2.embed("reduction").values
+        assert tuple(e1.embed("reduction").values) == tuple(e2.embed("reduction").values)
 
     def test_different_corpora_get_different_tags(self):
         e1 = HashedTfidfEmbedder().fit(["one document here"])
@@ -162,7 +185,7 @@ class TestRemoteEmbedder:
         )
         e = RemoteEmbedder(server.url, "embedder-x", api_key="k", backoff_base=0.01)
         v = e.embed("hello world")
-        assert v.values == (1.0 / 3, 2.0 / 3, 2.0 / 3)
+        assert tuple(v.values) == (1.0 / 3, 2.0 / 3, 2.0 / 3)
         assert v.provider_tag == "remote:embedder-x"
         assert e.dimension == 3
         assert e.embed("more text").dimension == 3
@@ -186,7 +209,7 @@ class TestRemoteEmbedder:
             ]
         )
         e = RemoteEmbedder(server.url, "m", backoff_base=0.01)
-        assert e.embed("text").values == (0.0, 1.0)
+        assert tuple(e.embed("text").values) == (0.0, 1.0)
         assert len(server.requests_seen) == 3
 
     def test_exhausted_retries_raise(self, scripted_server):

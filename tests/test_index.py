@@ -147,6 +147,25 @@ def test_persistence_round_trip_preserves_queries(tmp_path):
     assert loaded.query_topk(query, 6) == index.query_topk(query, 6)
 
 
+def test_save_load_save_is_byte_identical(tmp_path):
+    rng = random.Random(16)
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _index_of([_unit(rng, 8) for _ in range(12)]).save(first)
+    VectorIndex.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_rejects_non_numeric_components(tmp_path):
+    rng = random.Random(17)
+    path = tmp_path / "index.jsonl"
+    _index_of([_unit(rng, 2) for _ in range(2)]).save(path)
+    lines = path.read_text().splitlines()
+    lines[2] = '{"chunk_id": "c001", "vector": ["a", "b"]}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError):
+        VectorIndex.load(path)
+
+
 def test_provider_tag_mismatch_on_query():
     rng = random.Random(13)
     index = _index_of([_unit(rng, 8) for _ in range(3)])

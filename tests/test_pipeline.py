@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from omprag.cli import _config_from_args, build_parser
 from omprag.cli import main as cli_main
-from omprag.config import load_config
+from omprag.config import PipelineConfig, load_config
 from omprag.errors import InvalidInputError, UsageError
 from omprag.generation import ReplayProvider
 from omprag.pipeline import (
@@ -17,6 +19,7 @@ from omprag.pipeline import (
     report,
     run_pipeline,
     summarize,
+    validate_and_report,
 )
 from omprag.validation import (
     CaseSpec,
@@ -214,6 +217,53 @@ class TestRunPipeline:
         assert summary.fixable_failures == 1
 
 
+# Stands in for g++: sleeps past the timeout on a source marked SLOW, and
+# otherwise writes a binary that prints one fixed line.
+_FAKE_COMPILER = """
+import os, sys, time
+src, out = sys.argv[1], sys.argv[2]
+if "SLOW" in open(src).read():
+    time.sleep(60)
+with open(out, "w") as fh:
+    fh.write("#!/bin/sh\\necho RESULT 1\\n")
+os.chmod(out, 0o755)
+"""
+
+
+class TestCompileTimeout:
+    def test_timed_out_compile_is_a_report_not_an_abort(self, tmp_path):
+        compiler = tmp_path / "fake_cc.py"
+        compiler.write_text(_FAKE_COMPILER)
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(compiler))}"
+        cfg = PipelineConfig(
+            compile_cmd=command + " {src} {bin}",
+            compile_timeout=2.0,
+            differential_threads=(1, 2),
+            workers=3,
+        )
+        out = tmp_path / "o"
+        cases = []
+        for case_id, serial, generated in [
+            ("ok", "int main() {}", "int main() {}"),
+            ("slow_parallel", "int main() {}", "// SLOW"),
+            ("slow_serial", "// SLOW", "int main() {}"),
+        ]:
+            serial_path = tmp_path / f"{case_id}.cc"
+            serial_path.write_text(serial)
+            (out / "cases" / case_id).mkdir(parents=True)
+            (out / "cases" / case_id / "generated.cpp").write_text(generated)
+            cases.append(CaseSpec(case_id, str(serial_path)))
+
+        validate_and_report(cases, cfg, out)
+        ok, slow_parallel, slow_serial = load_jsonl(out / "reports.jsonl", ValidationReport)
+        assert (ok.compile_ok, ok.differential_verdict) == (True, Verdict.PASS)
+        assert not slow_parallel.compile_ok
+        assert slow_parallel.failure_category is None
+        assert slow_parallel.diagnostics.startswith("compile timed out: ")
+        assert slow_serial.compile_ok
+        assert slow_serial.differential_verdict is Verdict.SKIPPED
+
+
 @requires_compiler
 class TestCli:
     def test_ingest_and_index_commands(self, tmp_path, capsys):
@@ -334,11 +384,27 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"workers": 0}, {"differential_threads": ()}, {"differential_threads": (1, 0)}],
+        [
+            {"workers": 0},
+            {"differential_threads": ()},
+            {"differential_threads": (1, 0)},
+            {"compile_timeout": 0},
+            {"run_timeout": -1.0},
+            {"repetitions": 0},
+            {"workers": "two"},
+        ],
     )
     def test_meaningless_settings_refused(self, overrides):
         with pytest.raises(InvalidInputError):
             load_config(overrides=overrides, env={})
+
+    def test_unparseable_values_name_their_key(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="workers"):
+            load_config(env={"OMPRAG_WORKERS": "two"})
+        config = tmp_path / "run.ini"
+        config.write_text("[omprag]\nrun_timeout = soon\n")
+        with pytest.raises(InvalidInputError, match="run_timeout"):
+            load_config(config, env={})
 
     def test_env_beats_file_flags_beat_env(self, tmp_path):
         config = tmp_path / "run.ini"
