@@ -407,16 +407,26 @@ def clean_and_filter(
     return replace(candidate, cleaned_code=code, rejection_reason=None, printed_exprs=printed)
 
 
+def _case_file_text(candidate: SnippetCandidate) -> str:
+    """The exact text of a survivor's caseN.cc file."""
+    return candidate.cleaned_code + "\n"
+
+
 def compile_filter(
     candidate: SnippetCandidate,
     work_dir: Path | str,
     *,
     compile_cmd: str = DEFAULT_COMPILE_CMD,
 ) -> SnippetCandidate:
-    """Reject cleaned candidates that do not compile as plain C++17."""
+    """Reject cleaned candidates that do not compile as plain C++17.
+
+    The compiled text is the case file's, so validating the case later
+    reuses this build.
+    """
     if candidate.cleaned_code is None:
         raise InvalidInputError("compile_filter requires a cleaned candidate")
-    result = compile_gate(candidate.cleaned_code, work_dir, openmp=False, compile_cmd=compile_cmd)
+    result = compile_gate(_case_file_text(candidate), work_dir, openmp=False,
+                          compile_cmd=compile_cmd)
     if result.ok:
         return candidate
     log.info("candidate from %s rejected by compile gate", candidate.origin_url or "<unknown>")
@@ -438,6 +448,6 @@ def build_case_manifest(
             raise InvalidInputError("only cleaned survivors can enter the case manifest")
         case_id = f"case{start_index + offset}"
         path = cases_dir / f"{case_id}.cc"
-        path.write_text(candidate.cleaned_code + "\n", encoding="utf-8")
+        path.write_text(_case_file_text(candidate), encoding="utf-8")
         specs.append(CaseSpec(case_id=case_id, serial_path=str(path), input_args=[]))
     return specs

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import CorpusManifest
 from .embedding import EmbeddingVector, cosine_similarity
-from .errors import IntegrityError, InvalidInputError, ProviderError
+from .errors import IntegrityError, InvalidInputError, ParseError, ProviderError
 
 log = logging.getLogger(__name__)
 
@@ -104,24 +104,33 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: Path | str) -> "VectorIndex":
+        """Read a saved index; a malformed line raises ParseError naming it."""
         path = Path(path)
         with path.open(encoding="utf-8") as fh:
             header_line = fh.readline()
             if not header_line.strip():
                 raise InvalidInputError(f"index file {path} is empty")
-            header = json.loads(header_line)
-            provider_tag = header["provider_tag"]
-            dimension = int(header["dimension"])
+            try:
+                header = json.loads(header_line)
+                provider_tag = header["provider_tag"]
+                dimension = int(header["dimension"])
+                count = int(header["count"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}:1: bad index header: {exc!r}") from exc
             entries = []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                vector = EmbeddingVector(record["vector"], dimension, provider_tag)
-                entries.append(IndexEntry(record["chunk_id"], vector))
-        if len(entries) != int(header["count"]):
+                try:
+                    record = json.loads(line)
+                    chunk_id, values = record["chunk_id"], record["vector"]
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}:{lineno}: bad index entry: {exc!r}") from exc
+                vector = EmbeddingVector(values, dimension, provider_tag)
+                entries.append(IndexEntry(chunk_id, vector))
+        if len(entries) != count:
             raise IntegrityError(
-                f"index file {path}: header count {header['count']} != {len(entries)} entries"
+                f"index file {path}: header count {count} != {len(entries)} entries"
             )
         return cls(entries, provider_tag, dimension)
 

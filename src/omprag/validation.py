@@ -9,6 +9,8 @@ original across thread counts with tolerant numeric output matching.
 
 from __future__ import annotations
 
+import atexit
+import hashlib
 import json
 import logging
 import os
@@ -16,6 +18,8 @@ import re
 import shlex
 import shutil
 import subprocess
+import tempfile
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -135,6 +139,109 @@ class CompileResult:
     ok: bool
     diagnostics: str
     binary: Path | None
+    cached: bool = False
+
+
+_VERSION_PROBE_TIMEOUT = 10.0
+
+
+class BuildStore:
+    """Content-addressed compile results, scoped to one process.
+
+    The key is the SHA-256 of the source text, the final compiler argv and
+    the compiler's identity (resolved path plus ``--version`` output), in
+    the spirit of ccache's direct mode. Each key maps to ``(ok, diagnostics)``
+    and, for a successful compile, a copy of its binary in a private
+    directory made on first use and removed at interpreter exit. Nothing is
+    shared across processes.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._dir: Path | None = None
+        self._results: dict[str, tuple[bool, str]] = {}
+        self._key_locks: dict[str, threading.Lock] = {}
+        self._compilers: dict[tuple, str] = {}
+
+    def _compiler_identity(self, compiler: str, timeout: float) -> str:
+        """Path plus ``--version`` output, probed once per compiler file state.
+
+        A compiler that rejects ``--version``, hangs or cannot start still
+        gets an identity; the probe never fails the compile.
+        """
+        path = os.path.realpath(compiler)
+        stat = os.stat(path)
+        state = (path, stat.st_size, stat.st_mtime_ns)
+        with self._lock:
+            if state not in self._compilers:
+                try:
+                    proc = subprocess.run(
+                        [path, "--version"], capture_output=True, text=True,
+                        timeout=min(timeout, _VERSION_PROBE_TIMEOUT), stdin=subprocess.DEVNULL,
+                        env={**os.environ, "LC_ALL": "C"},
+                    )
+                    probe = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
+                except (OSError, subprocess.TimeoutExpired) as exc:
+                    probe = f"no version: {type(exc).__name__}"
+                self._compilers[state] = f"{path}\n{probe}"
+            return self._compilers[state]
+
+    def key(self, source: str, argv: list[str], compiler: str, timeout: float) -> str:
+        identity = self._compiler_identity(compiler, timeout)
+        return hashlib.sha256(json.dumps([source, argv, identity]).encode()).hexdigest()
+
+    def key_lock(self, key: str) -> threading.Lock:
+        """Serialises same-key compiles, so concurrent callers build once."""
+        with self._lock:
+            return self._key_locks.setdefault(key, threading.Lock())
+
+    def lookup(self, key: str) -> tuple[bool, str] | None:
+        return self._results.get(key)
+
+    def record(self, key: str, ok: bool, diagnostics: str, binary: Path | None) -> None:
+        if binary is not None:
+            _install(binary, self._binary(key), link=False)
+        self._results[key] = (ok, diagnostics)
+
+    def place(self, key: str, dest: Path) -> None:
+        """Put the stored binary at dest: a hard link, or a copy where linking fails."""
+        _install(self._binary(key), dest, link=True)
+
+    def _binary(self, key: str) -> Path:
+        with self._lock:
+            if self._dir is None:
+                self._dir = Path(tempfile.mkdtemp(prefix="omprag-builds-"))
+                atexit.register(self.close)
+            return self._dir / f"{key}.bin"
+
+    def close(self) -> None:
+        """Remove the store directory and forget every result."""
+        with self._lock:
+            if self._dir is not None:
+                shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+            self._results.clear()
+
+
+def _install(src: Path, dest: Path, *, link: bool) -> None:
+    """Write dest under a temporary name (a hard link when link is set and
+    the filesystem allows it, else a copy), then rename it into place."""
+    tmp = dest.with_name(f".{dest.name}.{threading.get_ident()}.tmp")
+    tmp.unlink(missing_ok=True)
+    try:
+        if link:
+            try:
+                os.link(src, tmp)
+            except OSError:  # another filesystem, or no hard links there
+                link = False
+        if not link:
+            shutil.copy2(src, tmp)
+        os.replace(tmp, dest)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+_store = BuildStore()
 
 
 def compile_gate(
@@ -147,7 +254,13 @@ def compile_gate(
     source_name: str = "case.cpp",
     binary_name: str = "case.bin",
 ) -> CompileResult:
-    """Compile the source under work_dir; nothing is written elsewhere.
+    """Compile the source under work_dir, once per process for each build.
+
+    work_dir ends up holding the source and, when the compile succeeds, the
+    binary. A build already made in this process (same source text, argv and
+    compiler) is served from the process's build store with the same ``ok``
+    and diagnostics, and ``cached=True``; outside work_dir, only that store
+    is written. A timed-out compile is never stored.
 
     A missing compiler raises ToolchainError (an environment problem,
     distinct from a failed compile, which is a result).
@@ -163,17 +276,32 @@ def compile_gate(
     argv = shlex.split(compile_cmd.format(src=source_name, bin=binary_name))
     if not openmp:
         argv = [a for a in argv if a != "-fopenmp"]
-    if shutil.which(argv[0]) is None:
+    compiler = shutil.which(argv[0])
+    if compiler is None:
         raise ToolchainError(f"compiler {argv[0]!r} not found on this host")
-    env = dict(os.environ)
-    env["LC_ALL"] = "C"  # plain-ASCII diagnostics, reproducible across locales
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
-    ok = proc.returncode == 0
+    store = _store
+    key = store.key(source, argv, compiler, timeout)
+    with store.key_lock(key):
+        # A stale binary may be a hard link into the store; a compiler that
+        # rewrote it in place would corrupt the stored copy.
+        binary.unlink(missing_ok=True)
+        hit = store.lookup(key)
+        if hit is not None:
+            ok, diagnostics = hit
+            if ok:
+                store.place(key, binary)
+            log.debug("compile cache hit %s for %s", key[:12], src)
+            return CompileResult(ok, diagnostics, binary if ok else None, cached=True)
+        env = dict(os.environ)
+        env["LC_ALL"] = "C"  # plain-ASCII diagnostics, reproducible across locales
+        try:
+            proc = subprocess.run(
+                argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
+        ok = proc.returncode == 0
+        store.record(key, ok, proc.stderr, binary if ok else None)
     return CompileResult(ok=ok, diagnostics=proc.stderr, binary=binary if ok else None)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from omprag import validation
 from omprag.config import load_config
 from omprag.corpus import CorpusManifest, ingest_corpus
 from omprag.embedding import HashedTfidfEmbedder
@@ -27,6 +28,16 @@ GPP_AVAILABLE = shutil.which("g++") is not None
 requires_compiler = pytest.mark.skipif(
     not GPP_AVAILABLE, reason="needs an OpenMP-capable g++ on PATH"
 )
+
+
+@pytest.fixture(autouse=True)
+def build_store(monkeypatch):
+    """A fresh compile build store for each test, so that a test counting
+    compiler runs does not depend on which tests ran before it."""
+    store = validation.BuildStore()
+    monkeypatch.setattr(validation, "_store", store)
+    yield store
+    store.close()
 
 
 @pytest.fixture

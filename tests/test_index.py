@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
 from omprag.corpus import CorpusChunk, CorpusManifest
 from omprag.embedding import EmbeddingVector, HashedTfidfEmbedder
-from omprag.errors import IntegrityError, InvalidInputError, ProviderError
+from omprag.errors import IntegrityError, InvalidInputError, ParseError, ProviderError
 from omprag.index import IndexEntry, RetrievalHit, VectorIndex, build_index
 
 TAG = "test-space"
@@ -189,4 +190,31 @@ def test_load_detects_truncated_file(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(IntegrityError):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"chunk_id": "c001", "vector": [0.6',  # a line cut short
+    '{"vector": [0.6, 0.8]}',  # no chunk_id
+    '["c001", [0.6, 0.8]]',  # not an object
+])
+def test_malformed_entry_is_parse_error_naming_the_line(tmp_path, bad_line):
+    rng = random.Random(19)
+    path = tmp_path / "index.jsonl"
+    _index_of([_unit(rng, 2) for _ in range(3)]).save(path)
+    lines = path.read_text().splitlines()
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: bad index entry")):
+        VectorIndex.load(path)
+
+
+def test_malformed_header_is_parse_error(tmp_path):
+    rng = random.Random(23)
+    path = tmp_path / "index.jsonl"
+    _index_of([_unit(rng, 2)]).save(path)
+    lines = path.read_text().splitlines()
+    lines[0] = '{"provider_tag": "test-space", "dimension": 2'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: bad index header")):
         VectorIndex.load(path)
