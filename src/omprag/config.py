@@ -20,6 +20,9 @@ PROFILE_RAG = "rag"
 PROFILE_BASELINE = "baseline"
 PROFILES = (PROFILE_RAG, PROFILE_BASELINE)
 
+# One worker per core this process may run on; more would only contend.
+DEFAULT_WORKERS = len(os.sched_getaffinity(0))
+
 
 @dataclass
 class PipelineConfig:
@@ -30,7 +33,7 @@ class PipelineConfig:
     thread_sweep: tuple[int, ...] = (1, 2, 4, 8)
     differential_threads: tuple[int, ...] = (1, 8)
     repetitions: int = 3
-    workers: int = 4
+    workers: int = DEFAULT_WORKERS
     compile_cmd: str = "g++ -fopenmp -std=c++17 -O2 {src} -o {bin}"
     compile_timeout: float = 60.0
     run_timeout: float = 120.0

@@ -72,6 +72,7 @@ class CorpusManifest:
     chunks: list[CorpusChunk] = field(default_factory=list)
     corpus_version: str = "1"
     created_at: str = ""
+    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -82,9 +83,20 @@ class CorpusManifest:
             seen.add(chunk.chunk_id)
 
     def chunk_by_id(self, chunk_id: str) -> CorpusChunk:
-        for chunk in self.chunks:
-            if chunk.chunk_id == chunk_id:
-                return chunk
+        # ``chunks`` is a public list that ``load`` and callers append to, so
+        # a row found stale or missing rebuilds the map once before giving up.
+        # Worker threads share a manifest: a rebuild fills its own dict and
+        # publishes it in one assignment.
+        rows = self._rows
+        for rebuild in (False, True):
+            if rebuild:
+                rows = {}
+                for row, chunk in enumerate(self.chunks):
+                    rows.setdefault(chunk.chunk_id, row)
+                self._rows = rows
+            row = rows.get(chunk_id, len(self.chunks))
+            if row < len(self.chunks) and self.chunks[row].chunk_id == chunk_id:
+                return self.chunks[row]
         raise IntegrityError(f"chunk_id {chunk_id!r} not present in manifest")
 
     def save(self, path: Path | str) -> None:

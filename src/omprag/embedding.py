@@ -31,6 +31,16 @@ NORM_TOLERANCE = 1e-6
 _TOKEN_RE = re.compile(r"[a-z0-9_#]+")
 
 
+def _read_only_buffer(values) -> bool:
+    """Is ``values`` an array whose owning array holds its data read-only?"""
+    if not isinstance(values, np.ndarray):
+        return False
+    owner = values
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return owner.flags.owndata and not owner.flags.writeable
+
+
 @dataclass(frozen=True, eq=False)  # a generated __eq__/__hash__ over an ndarray raises
 class EmbeddingVector:
     """A unit vector: ``values`` is a read-only 1-D float64 array."""
@@ -40,10 +50,14 @@ class EmbeddingVector:
     provider_tag: str
 
     def __post_init__(self):
-        try:
-            values = np.array(self.values)  # a private copy the caller cannot mutate
-        except ValueError as exc:  # a ragged component list
-            raise InvalidInputError(f"vector components are not numbers: {exc}") from exc
+        values = self.values
+        # A view of a read-only buffer (a row of an index's array) is kept as
+        # it is; anything else becomes a private copy the caller cannot mutate.
+        if not _read_only_buffer(values):
+            try:
+                values = np.array(values)
+            except ValueError as exc:  # a ragged component list
+                raise InvalidInputError(f"vector components are not numbers: {exc}") from exc
         if values.dtype.kind not in "iuf":  # strings, None, bools and objects
             raise InvalidInputError(f"vector components are not numbers ({values.dtype})")
         values = values.astype(np.float64, copy=False)

@@ -1,9 +1,15 @@
 """Exact flat vector index over corpus chunks.
 
-The corpus is small (hundreds of chunks), so top-k retrieval is an exact
-full scan: every query scores every entry and sorts. Ties break on
-ascending chunk_id for determinism. The on-disk format is one JSON header
-line (provider_tag, dimension, count) followed by one entry per line.
+Every vector is one row of a single contiguous, read-only (N, D) float64
+array, and each entry's ``vector.values`` is a read-only view of its row,
+so the index holds each vector once. Top-k retrieval is exact. One pass
+scores all N rows with NumPy's own single-threaded ``einsum`` loop, and
+``np.partition`` finds the k-th score. The candidates within TIE_MARGIN of
+it are re-scored with the canonical ``cosine_similarity`` and sorted by
+descending score, ties on ascending chunk_id. So ids, ranks and scores are
+bitwise those of scoring every entry with ``cosine_similarity``. The
+on-disk format is one JSON header line (provider_tag, dimension, count)
+followed by one entry per line.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import CorpusManifest
 from .embedding import EmbeddingVector, cosine_similarity
 from .errors import IntegrityError, InvalidInputError, ParseError, ProviderError
@@ -20,6 +28,10 @@ from .errors import IntegrityError, InvalidInputError, ParseError, ProviderError
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 4
+
+# Far wider than the rounding gap between the einsum pass and np.dot (about
+# 1e-13 at D = 512), so every entry of the true top-k gets re-scored.
+TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,28 +47,51 @@ class RetrievalHit:
     rank: int
 
 
+def _check_vector(chunk_id: str, vector: EmbeddingVector, provider_tag: str, dimension: int):
+    if vector.provider_tag != provider_tag:
+        raise InvalidInputError(
+            f"entry {chunk_id!r} has provider_tag "
+            f"{vector.provider_tag!r}, index expects {provider_tag!r}"
+        )
+    if vector.dimension != dimension:
+        raise InvalidInputError(
+            f"entry {chunk_id!r} has dimension {vector.dimension}, index expects {dimension}"
+        )
+
+
 class VectorIndex:
     """Immutable after construction; concurrent queries are safe."""
 
     def __init__(self, entries: list[IndexEntry], provider_tag: str, dimension: int):
-        seen: set[str] = set()
         for entry in entries:
-            if entry.chunk_id in seen:
-                raise IntegrityError(f"duplicate chunk_id {entry.chunk_id!r} in index")
-            seen.add(entry.chunk_id)
-            if entry.vector.provider_tag != provider_tag:
-                raise InvalidInputError(
-                    f"entry {entry.chunk_id!r} has provider_tag "
-                    f"{entry.vector.provider_tag!r}, index expects {provider_tag!r}"
-                )
-            if entry.vector.dimension != dimension:
-                raise InvalidInputError(
-                    f"entry {entry.chunk_id!r} has dimension "
-                    f"{entry.vector.dimension}, index expects {dimension}"
-                )
-        self.entries = list(entries)
+            _check_vector(entry.chunk_id, entry.vector, provider_tag, dimension)
+        matrix = np.empty((len(entries), dimension))
+        for row, entry in zip(matrix, entries):
+            row[:] = entry.vector.values
+        self._adopt([entry.chunk_id for entry in entries], matrix, provider_tag)
+
+    @classmethod
+    def _from_rows(cls, chunk_ids: list[str], matrix: np.ndarray, provider_tag: str):
+        """An index over an already filled (N, D) array, without copying it."""
+        index = cls.__new__(cls)
+        index._adopt(chunk_ids, matrix, provider_tag)
+        return index
+
+    def _adopt(self, chunk_ids: list[str], matrix: np.ndarray, provider_tag: str) -> None:
+        """Hold ``matrix`` read-only; each entry's vector is a view of its row."""
+        seen: set[str] = set()
+        for chunk_id in chunk_ids:
+            if chunk_id in seen:
+                raise IntegrityError(f"duplicate chunk_id {chunk_id!r} in index")
+            seen.add(chunk_id)
+        matrix.flags.writeable = False
+        self._matrix = matrix
         self.provider_tag = provider_tag
-        self.dimension = dimension
+        self.dimension = matrix.shape[1]
+        self.entries = [
+            IndexEntry(chunk_id, EmbeddingVector(row, self.dimension, provider_tag))
+            for chunk_id, row in zip(chunk_ids, matrix)
+        ]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,16 +109,26 @@ class VectorIndex:
             raise InvalidInputError(
                 f"query dimension {query_vector.dimension} != index dimension {self.dimension}"
             )
-        # Score through the one canonical cosine so rankings (and tie-breaks)
+        # einsum is NumPy's own loop: a BLAS product here would wake helper
+        # threads that spin beside the pipeline's workers.
+        scores = np.einsum("ij,j->i", self._matrix, query_vector.values)
+        n = len(scores)
+        candidates = range(n)
+        if k < n:
+            kth = np.partition(scores, n - k)[n - k]
+            candidates = np.flatnonzero(scores >= kth - TIE_MARGIN)
+        # Re-score through the one canonical cosine so rankings (and tie-breaks)
         # are bitwise-reproducible by any checker using the same scalar.
-        scores = [cosine_similarity(query_vector, e.vector) for e in self.entries]
-        order = sorted(
-            range(len(self.entries)),
-            key=lambda i: (-scores[i], self.entries[i].chunk_id),
+        scored = sorted(
+            (
+                (cosine_similarity(query_vector, self.entries[i].vector), self.entries[i].chunk_id)
+                for i in candidates
+            ),
+            key=lambda pair: (-pair[0], pair[1]),
         )
         return [
-            RetrievalHit(self.entries[i].chunk_id, scores[i], rank)
-            for rank, i in enumerate(order[:k], start=1)
+            RetrievalHit(chunk_id, score, rank)
+            for rank, (score, chunk_id) in enumerate(scored[:k], start=1)
         ]
 
     def save(self, path: Path | str) -> None:
@@ -117,7 +162,16 @@ class VectorIndex:
                 count = int(header["count"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:1: bad index header: {exc!r}") from exc
-            entries = []
+            if count < 0 or dimension < 1:
+                raise ParseError(
+                    f"{path}:1: bad index header: count {count}, dimension {dimension}"
+                )
+            # Each component takes at least two bytes ("0,"), so a count the
+            # file cannot hold is refused before its rows are allocated.
+            if 2 * count * dimension > path.stat().st_size:
+                raise IntegrityError(f"index file {path}: header count {count} exceeds its size")
+            matrix = np.empty((count, dimension))
+            chunk_ids: list[str] = []
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -126,13 +180,15 @@ class VectorIndex:
                     chunk_id, values = record["chunk_id"], record["vector"]
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"{path}:{lineno}: bad index entry: {exc!r}") from exc
-                vector = EmbeddingVector(values, dimension, provider_tag)
-                entries.append(IndexEntry(chunk_id, vector))
-        if len(entries) != count:
+                if len(chunk_ids) == count:
+                    raise IntegrityError(f"{path}:{lineno}: entry beyond header count {count}")
+                matrix[len(chunk_ids)] = EmbeddingVector(values, dimension, provider_tag).values
+                chunk_ids.append(chunk_id)
+        if len(chunk_ids) != count:
             raise IntegrityError(
-                f"index file {path}: header count {count} != {len(entries)} entries"
+                f"index file {path}: header count {count} != {len(chunk_ids)} entries"
             )
-        return cls(entries, provider_tag, dimension)
+        return cls._from_rows(chunk_ids, matrix, provider_tag)
 
 
 def build_index(manifest: CorpusManifest, provider) -> VectorIndex:
@@ -143,8 +199,8 @@ def build_index(manifest: CorpusManifest, provider) -> VectorIndex:
     manifest.validate()
     if not manifest.chunks:
         raise InvalidInputError("cannot build an index from an empty manifest")
-    entries: list[IndexEntry] = []
-    for chunk in manifest.chunks:
+    matrix = None
+    for row, chunk in enumerate(manifest.chunks):
         try:
             vector = provider.embed(chunk.body)
         except (ProviderError, InvalidInputError) as exc:
@@ -152,7 +208,11 @@ def build_index(manifest: CorpusManifest, provider) -> VectorIndex:
                 f"embedding failed for chunk {chunk.chunk_id!r}: {exc}",
                 status=getattr(exc, "status", None),
             ) from exc
-        entries.append(IndexEntry(chunk.chunk_id, vector))
-    index = VectorIndex(entries, provider.provider_tag, entries[0].vector.dimension)
+        if matrix is None:
+            matrix = np.empty((len(manifest.chunks), vector.dimension))
+        _check_vector(chunk.chunk_id, vector, provider.provider_tag, matrix.shape[1])
+        matrix[row] = vector.values
+    chunk_ids = [chunk.chunk_id for chunk in manifest.chunks]
+    index = VectorIndex._from_rows(chunk_ids, matrix, provider.provider_tag)
     log.info("built index of %d entries (provider %s)", len(index), index.provider_tag)
     return index

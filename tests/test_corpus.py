@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -193,3 +196,42 @@ def test_load_rejects_bad_token_estimate(tmp_path):
     )
     with pytest.raises(InvalidInputError):
         CorpusManifest.load(path)
+
+
+def test_chunk_by_id_sees_chunks_appended_after_a_lookup():
+    manifest = CorpusManifest(chunks=[CorpusChunk("c1", "d", [], "body one", 2)])
+    assert manifest.chunk_by_id("c1").body == "body one"
+    manifest.chunks.append(CorpusChunk("c2", "d", [], "body two", 2))
+    assert manifest.chunk_by_id("c2").body == "body two"
+    manifest.chunks[0] = CorpusChunk("c0", "d", [], "body zero", 2)
+    assert manifest.chunk_by_id("c0").body == "body zero"
+    with pytest.raises(IntegrityError, match="'c1'"):
+        manifest.chunk_by_id("c1")
+
+
+def test_chunk_by_id_unknown_id_is_integrity_error():
+    manifest = ingest_corpus(FIXTURES / "docs")
+    for chunk in manifest.chunks:
+        assert manifest.chunk_by_id(chunk.chunk_id) is chunk
+    with pytest.raises(IntegrityError, match="not present"):
+        manifest.chunk_by_id("no-such-chunk")
+    with pytest.raises(IntegrityError):
+        CorpusManifest().chunk_by_id("c1")
+
+
+def test_concurrent_first_lookups_all_succeed():
+    """Workers share one manifest; the first lookups all build the map at once."""
+    ids = [f"c{i:04d}" for i in range(3000)]
+    queries = ids[::-1][:200] * 4  # the last ids, which a half-built map lacks
+    workers = 4 * len(os.sched_getaffinity(0))  # more workers than cores
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            manifest = CorpusManifest(chunks=[CorpusChunk(cid, "d", [], cid, 1) for cid in ids])
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                found = list(pool.map(lambda cid: manifest.chunk_by_id(cid).body, queries,
+                                      timeout=60))
+            assert found == queries
+    finally:
+        sys.setswitchinterval(previous)

@@ -72,6 +72,14 @@ class TestEmbeddingVector:
         assert tuple(v.values) == (0.6, 0.8)
         assert source.flags.writeable
 
+    def test_only_a_view_of_a_read_only_owner_is_kept(self):
+        owner = np.array([[0.6, 0.8], [0.8, 0.6]])
+        view = owner[0]
+        view.flags.writeable = False  # the view is read-only, its owner is not
+        assert not np.shares_memory(EmbeddingVector(view, 2, "t").values, owner)
+        owner.flags.writeable = False
+        assert np.shares_memory(EmbeddingVector(owner[1], 2, "t").values, owner)
+
     @pytest.mark.parametrize(
         "values", [["x", 1.0], [None, 1.0], ["0.6", "0.8"], [[0.6, 0.8]], [[1.0], [0.0, 1.0]]]
     )

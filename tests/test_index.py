@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from omprag.corpus import CorpusChunk, CorpusManifest
-from omprag.embedding import EmbeddingVector, HashedTfidfEmbedder
+from omprag.embedding import EmbeddingVector, HashedTfidfEmbedder, cosine_similarity
 from omprag.errors import IntegrityError, InvalidInputError, ParseError, ProviderError
 from omprag.index import IndexEntry, RetrievalHit, VectorIndex, build_index
 
@@ -217,4 +219,97 @@ def test_malformed_header_is_parse_error(tmp_path):
     lines[0] = '{"provider_tag": "test-space", "dimension": 2'
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:1: bad index header")):
+        VectorIndex.load(path)
+
+
+def _per_entry_topk(entries: list[IndexEntry], query: EmbeddingVector, k: int):
+    """The per-entry scan the one-pass query must reproduce bitwise."""
+    scored = sorted(
+        ((cosine_similarity(query, e.vector), e.chunk_id) for e in entries),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    return [RetrievalHit(cid, score, rank) for rank, (score, cid) in enumerate(scored[:k], start=1)]
+
+
+def _ulp_apart(vector: EmbeddingVector, component: int) -> EmbeddingVector:
+    values = vector.values.copy()
+    values[component] = np.nextafter(values[component], np.inf)
+    return EmbeddingVector(values, vector.dimension, vector.provider_tag)
+
+
+def _near_tie_corpus(seed: int):
+    """Random unit vectors plus duplicates (exact ties) and 1-ulp neighbours."""
+    rng = random.Random(seed)
+    dim = (16, 512)[seed % 2]
+    base = [_unit(rng, dim) for _ in range(24)]
+    vectors = base + base[::4]
+    vectors += [_ulp_apart(base[i], rng.randrange(dim)) for i in range(1, 24, 4)]
+    rng.shuffle(vectors)
+    entries = [IndexEntry(f"c{i:03d}", v) for i, v in enumerate(vectors)]
+    queries = [rng.choice(base), _unit(rng, dim), _ulp_apart(rng.choice(base), 0)]
+    return entries, queries
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_query_equals_per_entry_scan(seed):
+    entries, queries = _near_tie_corpus(seed)
+    index = VectorIndex(entries, TAG, entries[0].vector.dimension)
+    n = len(entries)
+    for query in queries:
+        for k in (1, 4, n, n + 3):
+            assert index.query_topk(query, k) == _per_entry_topk(entries, query, k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_rounding_cannot_change_the_hits(seed, monkeypatch):
+    """Scores off by 1e-12, ten times the real einsum/np.dot gap, change nothing."""
+    entries, queries = _near_tie_corpus(seed)
+    index = VectorIndex(entries, TAG, entries[0].vector.dimension)
+    noise = np.random.default_rng(seed)
+    exact_einsum = np.einsum
+
+    def rounded_einsum(*args):
+        scores = exact_einsum(*args)
+        return scores + noise.uniform(-1e-12, 1e-12, scores.shape)
+
+    monkeypatch.setattr(np, "einsum", rounded_einsum)
+    for query in queries:
+        for k in range(1, len(entries) + 1):
+            assert index.query_topk(query, k) == _per_entry_topk(entries, query, k)
+
+
+def test_entries_are_read_only_views_of_one_array(tmp_path):
+    rng = random.Random(29)
+    built = _index_of([_unit(rng, 8) for _ in range(6)])
+    path = tmp_path / "index.jsonl"
+    built.save(path)
+    manifest = _manifest(["reduction clause sums", "collapse nested loops", "atomic updates"])
+    for index in (built, VectorIndex.load(path), build_index(manifest, HashedTfidfEmbedder())):
+        for entry in index.entries:
+            assert np.shares_memory(entry.vector.values, index._matrix)
+            assert not entry.vector.values.flags.writeable
+        with pytest.raises(ValueError):
+            index.entries[0].vector.values[0] = 0.5
+
+
+def test_empty_index_returns_no_hits(tmp_path):
+    rng = random.Random(37)
+    query = _unit(rng, 4)
+    empty = VectorIndex([], TAG, 4)
+    assert empty.query_topk(query, 1) == []
+    assert empty.query_topk(query, 4) == []
+    path = tmp_path / "index.jsonl"
+    empty.save(path)
+    assert VectorIndex.load(path).query_topk(query, 4) == []
+
+
+@pytest.mark.parametrize("count", [2, 4, 0, -1, 10**12])
+def test_load_refuses_a_wrong_header_count(tmp_path, count):
+    rng = random.Random(31)
+    path = tmp_path / "index.jsonl"
+    _index_of([_unit(rng, 4) for _ in range(3)]).save(path)
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "count": count})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((IntegrityError, ParseError), match=re.escape(str(path))):
         VectorIndex.load(path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -405,6 +406,11 @@ class TestCli:
         config.write_text("[omprag]\nrun_timeout = soon\n")
         with pytest.raises(InvalidInputError, match="run_timeout"):
             load_config(config, env={})
+
+    def test_workers_default_to_the_cores_this_process_may_use(self):
+        assert PipelineConfig().workers == len(os.sched_getaffinity(0))
+        assert load_config(env={}).workers == len(os.sched_getaffinity(0))
+        assert load_config(env={"OMPRAG_WORKERS": "3"}).workers == 3
 
     def test_env_beats_file_flags_beat_env(self, tmp_path):
         config = tmp_path / "run.ini"
