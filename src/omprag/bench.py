@@ -14,10 +14,14 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import BenchError, InvalidInputError, LockHeldError, ParseError
+from .errors import BenchError, CompileTimeoutError, InvalidInputError, LockHeldError, ParseError
 from .tables import render_table
-from .validation import _run_binary
+from .validation import CaseSpec, _run_binary, compile_gate
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +115,6 @@ def run_sweep(
     repetitions: int = DEFAULT_REPETITIONS,
     *,
     input_args: list[str] | None = None,
-    timeout: float = DEFAULT_BENCH_TIMEOUT,
 ) -> list[BenchRecord]:
     """Time the binary at each thread count; record the minimum of the reps."""
     if repetitions < 1:
@@ -130,7 +133,8 @@ def run_sweep(
     for threads in thread_counts:
         times: list[float] = []
         for _ in range(repetitions):
-            code, stdout, stderr = _run_binary(binary, input_args, timeout, threads=threads)
+            code, stdout, stderr = _run_binary(binary, input_args, DEFAULT_BENCH_TIMEOUT,
+                                               threads=threads)
             if code is None:
                 raise BenchError(f"{case_id}: benchmark timed out at {threads} threads")
             if code != 0:
@@ -152,6 +156,34 @@ def run_sweep(
         )
         record.validate()
         records.append(record)
+    return records
+
+
+def bench_cases(cases: list[CaseSpec], cfg: PipelineConfig, run_dir: Path | str,
+                build_dir: Path | str) -> list[BenchRecord]:
+    """Build each parallelizable case's ``run_dir/cases/<id>/generated.cpp``
+    in ``build_dir/<id>`` and sweep it. A case with no generated code, a
+    failed or timed-out build, or a failed run is logged and skipped.
+    """
+    records: list[BenchRecord] = []
+    for case in cases:
+        if case.unparallelizable:
+            continue
+        generated = Path(run_dir) / "cases" / case.case_id / "generated.cpp"
+        if not generated.is_file():
+            log.warning("no generated code for %s; skipping bench", case.case_id)
+            continue
+        try:
+            built = compile_gate(generated.read_text(encoding="utf-8"),
+                                 Path(build_dir) / case.case_id,
+                                 compile_cmd=cfg.compile_cmd, timeout=cfg.compile_timeout)
+            if not built.ok:
+                log.warning("generated code for %s does not compile; skipping", case.case_id)
+                continue
+            records.extend(run_sweep(case.case_id, built.binary, cfg.thread_sweep,
+                                     cfg.repetitions, input_args=case.input_args))
+        except (CompileTimeoutError, BenchError, ParseError) as exc:
+            log.warning("skipping bench of %s: %s", case.case_id, exc)
     return records
 
 

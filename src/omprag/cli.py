@@ -20,10 +20,10 @@ from pathlib import Path
 from . import __version__
 from .bench import (
     BenchLock,
+    bench_cases,
     compute_speedups,
     import_records,
     render_runtime_table,
-    run_sweep,
     write_records_csv,
     write_speedup_series,
     write_speedups_csv,
@@ -33,15 +33,7 @@ from .corpus import CorpusManifest, ingest_corpus
 from .embedding import HashedTfidfEmbedder, RemoteEmbedder
 from .errors import EnvironmentFailure, OmpragError, UsageError
 from .generation import ChatHttpProvider, RecordingProvider, ReplayProvider
-from .harvest import (
-    CATEGORIES,
-    FixtureQaApi,
-    HttpQaApi,
-    build_case_manifest,
-    clean_and_filter,
-    compile_filter,
-    fetch_candidates,
-)
+from .harvest import CATEGORIES, FixtureQaApi, HttpQaApi, harvest_cases
 from .index import VectorIndex, build_index
 from .pipeline import (
     PipelineDeps,
@@ -53,15 +45,7 @@ from .pipeline import (
     validate_and_report,
 )
 from .prompt import load_template
-from .validation import (
-    ValidationReport,
-    compile_gate,
-    load_case_manifest,
-    load_jsonl,
-    save_jsonl,
-)
-
-log = logging.getLogger(__name__)
+from .validation import ValidationReport, load_case_manifest, load_jsonl, save_jsonl
 
 
 def builtin_corpus_dir() -> Path:
@@ -80,8 +64,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def _make_embedder(cfg: PipelineConfig, manifest: CorpusManifest):
     if cfg.embed_endpoint:
-        api_key = cfg.embed_api_key or os.environ.get("OMPRAG_EMBED_API_KEY")
-        return RemoteEmbedder(cfg.embed_endpoint, cfg.embed_model, api_key)
+        return RemoteEmbedder(cfg.embed_endpoint, cfg.embed_model, cfg.embed_api_key)
     return HashedTfidfEmbedder().fit(chunk.body for chunk in manifest.chunks)
 
 
@@ -89,8 +72,7 @@ def _make_provider(cfg: PipelineConfig):
     if cfg.replay_dir:
         return ReplayProvider(cfg.replay_dir)
     if cfg.chat_endpoint:
-        api_key = cfg.chat_api_key or os.environ.get("OMPRAG_CHAT_API_KEY")
-        provider = ChatHttpProvider(cfg.chat_endpoint, api_key)
+        provider = ChatHttpProvider(cfg.chat_endpoint, cfg.chat_api_key)
         if cfg.record_dir:
             return RecordingProvider(provider, cfg.record_dir)
         return provider
@@ -120,6 +102,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_harvest(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
     if args.fixture_dir:
         api = FixtureQaApi(args.fixture_dir)
     elif args.endpoint:
@@ -132,20 +115,11 @@ def cmd_harvest(args: argparse.Namespace) -> int:
         )
     else:
         raise UsageError("harvest needs --fixture-dir (offline) or --endpoint (live)")
-    categories = args.categories or list(CATEGORIES)
-    survivors = []
-    rejected = 0
-    for category in categories:
-        for raw in fetch_candidates(category, args.max_pages, api):
-            candidate = clean_and_filter(raw, min_lines=args.min_lines)
-            if candidate.rejection_reason is None:
-                candidate = compile_filter(candidate, Path(args.cases_dir) / "_gate")
-            if candidate.rejection_reason is None:
-                survivors.append(candidate)
-            else:
-                rejected += 1
-                log.info("rejected %s: %s", raw.origin_url, candidate.rejection_reason.value)
-    specs = build_case_manifest(survivors, args.cases_dir, start_index=args.start_index)
+    candidates, specs = harvest_cases(
+        args.categories or list(CATEGORIES), api, args.cases_dir, cfg,
+        max_pages=args.max_pages, min_lines=args.min_lines, start_index=args.start_index,
+    )
+    rejected = sum(c.rejection_reason is not None for c in candidates)
     save_jsonl(specs, args.case_manifest)
     print(
         f"harvested {len(specs)} cases ({rejected} rejected) -> "
@@ -202,42 +176,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir or "out")
+    cfg = _config_from_args(args)
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.import_csv:
         records = import_records(args.import_csv)
     else:
         if not args.case_manifest:
             raise UsageError("bench needs --case-manifest unless --import-csv is given")
-        cfg = _config_from_args(args)
         cases = load_case_manifest(args.case_manifest)
-        run_dir = Path(args.run_dir) if args.run_dir else Path(cfg.out_dir)
-        records = []
         with BenchLock(args.lock_file or out_dir / "bench.lock"):
-            for case in cases:
-                if case.unparallelizable:
-                    continue
-                generated = run_dir / "cases" / case.case_id / "generated.cpp"
-                if not generated.is_file():
-                    log.warning("no generated code for %s; skipping bench", case.case_id)
-                    continue
-                built = compile_gate(
-                    generated.read_text(encoding="utf-8"),
-                    out_dir / "build" / case.case_id,
-                    compile_cmd=cfg.compile_cmd,
-                )
-                if not built.ok:
-                    log.warning("generated code for %s does not compile; skipping", case.case_id)
-                    continue
-                records.extend(
-                    run_sweep(
-                        case.case_id,
-                        built.binary,
-                        cfg.thread_sweep,
-                        cfg.repetitions,
-                        input_args=case.input_args,
-                    )
-                )
+            records = bench_cases(cases, cfg, args.run_dir or cfg.out_dir, out_dir / "build")
     rows = compute_speedups(records)
     write_records_csv(records, out_dir / "records.csv")
     write_speedups_csv(rows, out_dir / "speedups.csv")
@@ -298,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("harvest", help="collect and filter snippets into cases")
+    p.add_argument("--config", help="INI config file")
     p.add_argument("--fixture-dir", help="recorded API pages (offline mode)")
     p.add_argument("--endpoint", help="live Q&A API endpoint")
     p.add_argument("--keywords", help="JSON file of category -> query keywords")

@@ -12,7 +12,11 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .bench import DEFAULT_REPETITIONS, DEFAULT_THREAD_SWEEP
 from .errors import InvalidInputError
+from .generation import DEFAULT_TEMPERATURE
+from .index import DEFAULT_TOP_K
+from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, DEFAULT_RUN_TIMEOUT
 
 ENV_PREFIX = "OMPRAG_"
 
@@ -27,16 +31,16 @@ DEFAULT_WORKERS = len(os.sched_getaffinity(0))
 @dataclass
 class PipelineConfig:
     profile: str = PROFILE_RAG
-    k: int = 4
+    k: int = DEFAULT_TOP_K
     model: str = "gpt-3.5-turbo"
-    temperature: float = 0.2
-    thread_sweep: tuple[int, ...] = (1, 2, 4, 8)
+    temperature: float = DEFAULT_TEMPERATURE
+    thread_sweep: tuple[int, ...] = DEFAULT_THREAD_SWEEP
     differential_threads: tuple[int, ...] = (1, 8)
-    repetitions: int = 3
+    repetitions: int = DEFAULT_REPETITIONS
     workers: int = DEFAULT_WORKERS
-    compile_cmd: str = "g++ -fopenmp -std=c++17 -O2 {src} -o {bin}"
-    compile_timeout: float = 60.0
-    run_timeout: float = 120.0
+    compile_cmd: str = DEFAULT_COMPILE_CMD
+    compile_timeout: float = DEFAULT_COMPILE_TIMEOUT
+    run_timeout: float = DEFAULT_RUN_TIMEOUT
     chat_endpoint: str = ""
     chat_api_key: str = ""
     embed_endpoint: str = ""

@@ -220,7 +220,6 @@ def chunk_document(
 def ingest_corpus(
     root_path: Path | str,
     max_tokens: int = DEFAULT_MAX_TOKENS,
-    corpus_version: str = "1",
 ) -> CorpusManifest:
     """Ingest every .md/.txt document under root_path into a manifest.
 
@@ -252,7 +251,6 @@ def ingest_corpus(
         raise CorpusEmptyError(f"no readable documents under {root}")
     manifest = CorpusManifest(
         chunks=chunks,
-        corpus_version=corpus_version,
         created_at=datetime.now(timezone.utc).isoformat(),
     )
     manifest.validate()

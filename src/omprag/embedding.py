@@ -21,7 +21,7 @@ import numpy as np
 import requests
 
 from .errors import InvalidInputError, ProviderError
-from .retry import post_with_retry
+from .retry import MAX_IN_FLIGHT, post_with_retry
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +174,6 @@ class RemoteEmbedder:
         api_key: str | None = None,
         *,
         timeout: float = 30.0,
-        max_in_flight: int = 4,
         attempts: int = 3,
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
@@ -186,7 +185,7 @@ class RemoteEmbedder:
         self.attempts = attempts
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
-        self._slots = threading.Semaphore(max_in_flight)
+        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
         self._lock = threading.Lock()
         self._dimension: int | None = None
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import requests
 
 from .errors import InvalidInputError, ProviderError, ReplayMissError
-from .retry import post_with_retry
+from .retry import MAX_IN_FLIGHT, post_with_retry
 
 log = logging.getLogger(__name__)
 
@@ -113,19 +113,16 @@ class ChatHttpProvider:
         endpoint: str,
         api_key: str | None = None,
         *,
-        timeout: float = DEFAULT_TIMEOUT,
         attempts: int = 3,
         backoff_base: float = 1.0,
-        max_in_flight: int = 4,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
         self.attempts = attempts
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
-        self._slots = threading.Semaphore(max_in_flight)
+        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
 
     @property
     def name(self) -> str:
@@ -143,7 +140,7 @@ class ChatHttpProvider:
             self.endpoint,
             payload,
             api_key=self.api_key,
-            timeout=self.timeout,
+            timeout=DEFAULT_TIMEOUT,
             attempts=self.attempts,
             backoff_base=self.backoff_base,
             what="chat",

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import requests
 
-from .errors import FetchError, InvalidInputError, ReplayMissError
-from .validation import DEFAULT_COMPILE_CMD, CaseSpec, compile_gate
+from .config import PipelineConfig
+from .errors import CompileTimeoutError, FetchError, InvalidInputError, ReplayMissError
+from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
 
 log = logging.getLogger(__name__)
 
@@ -121,15 +122,11 @@ class HttpQaApi:
         api_key: str | None = None,
         *,
         keywords: dict[str, str] | None = None,
-        page_size: int = 30,
-        timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
         self.keywords = keywords or {}
-        self.page_size = page_size
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def fetch_page(self, category: str, page: int) -> dict:
@@ -138,12 +135,12 @@ class HttpQaApi:
             "accepted": "True",
             "sort": "relevance",
             "page": page,
-            "pagesize": self.page_size,
+            "pagesize": 30,
         }
         if self.api_key:
             params["key"] = self.api_key
         try:
-            response = self._session.get(self.endpoint, params=params, timeout=self.timeout)
+            response = self._session.get(self.endpoint, params=params, timeout=30.0)
         except requests.RequestException as exc:
             raise FetchError(f"Q&A API request failed: {exc}") from exc
         if response.status_code == 429:
@@ -417,17 +414,21 @@ def compile_filter(
     work_dir: Path | str,
     *,
     compile_cmd: str = DEFAULT_COMPILE_CMD,
+    timeout: float = DEFAULT_COMPILE_TIMEOUT,
 ) -> SnippetCandidate:
-    """Reject cleaned candidates that do not compile as plain C++17.
-
-    The compiled text is the case file's, so validating the case later
-    reuses this build.
+    """Reject cleaned candidates that do not compile as plain C++17, or whose
+    compile times out. The compiled text is the case file's, so validating
+    the case later reuses this build.
     """
     if candidate.cleaned_code is None:
         raise InvalidInputError("compile_filter requires a cleaned candidate")
-    result = compile_gate(_case_file_text(candidate), work_dir, openmp=False,
-                          compile_cmd=compile_cmd)
-    if result.ok:
+    try:
+        ok = compile_gate(_case_file_text(candidate), work_dir, openmp=False,
+                          compile_cmd=compile_cmd, timeout=timeout).ok
+    except CompileTimeoutError as exc:
+        log.info("compile gate timed out: %s", exc)
+        ok = False
+    if ok:
         return candidate
     log.info("candidate from %s rejected by compile gate", candidate.origin_url or "<unknown>")
     return replace(candidate, cleaned_code=None, rejection_reason=RejectionReason.COMPILE_FAIL,
@@ -451,3 +452,25 @@ def build_case_manifest(
         path.write_text(_case_file_text(candidate), encoding="utf-8")
         specs.append(CaseSpec(case_id=case_id, serial_path=str(path), input_args=[]))
     return specs
+
+
+def harvest_cases(
+    categories, api, cases_dir: Path | str, cfg: PipelineConfig, *,
+    max_pages: int, min_lines: int = MIN_NONBLANK_LINES, start_index: int = 1,
+) -> tuple[list[SnippetCandidate], list[CaseSpec]]:
+    """Fetch, clean and compile-gate (in ``cases_dir/_gate``) each category's
+    snippets, serially, and write the survivors' case files. Returns every
+    candidate in page order, rejected ones with their reason, and the specs.
+    """
+    candidates: list[SnippetCandidate] = []
+    for category in categories:
+        for raw in fetch_candidates(category, max_pages, api):
+            candidate = clean_and_filter(raw, min_lines=min_lines)
+            if candidate.rejection_reason is None:
+                candidate = compile_filter(candidate, Path(cases_dir) / "_gate",
+                                           compile_cmd=cfg.compile_cmd, timeout=cfg.compile_timeout)
+            if candidate.rejection_reason is not None:
+                log.info("rejected %s: %s", raw.origin_url, candidate.rejection_reason.value)
+            candidates.append(candidate)
+    survivors = [c for c in candidates if c.rejection_reason is None]
+    return candidates, build_case_manifest(survivors, cases_dir, start_index=start_index)

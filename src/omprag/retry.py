@@ -14,6 +14,8 @@ import requests
 
 from .errors import ProviderError
 
+MAX_IN_FLIGHT = 4
+
 
 def post_with_retry(
     session: requests.Session,

@@ -251,8 +251,6 @@ def compile_gate(
     openmp: bool = True,
     compile_cmd: str = DEFAULT_COMPILE_CMD,
     timeout: float = DEFAULT_COMPILE_TIMEOUT,
-    source_name: str = "case.cpp",
-    binary_name: str = "case.bin",
 ) -> CompileResult:
     """Compile the source under work_dir, once per process for each build.
 
@@ -267,13 +265,13 @@ def compile_gate(
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    src = work_dir / source_name
-    binary = work_dir / binary_name
+    src = work_dir / "case.cpp"
+    binary = work_dir / "case.bin"
     src.write_text(source, encoding="utf-8")
 
     # Invoke with paths relative to work_dir so diagnostics are
     # reproducible regardless of where the work tree lives.
-    argv = shlex.split(compile_cmd.format(src=source_name, bin=binary_name))
+    argv = shlex.split(compile_cmd.format(src=src.name, bin=binary.name))
     if not openmp:
         argv = [a for a in argv if a != "-fopenmp"]
     compiler = shutil.which(argv[0])
@@ -377,7 +375,7 @@ def normalize_output(text: str) -> list[str]:
     return lines
 
 
-def _lines_match(expected: str, actual: str, rel_tol: float) -> bool:
+def _lines_match(expected: str, actual: str) -> bool:
     """Numbers embedded anywhere in the line compare within tolerance; the
     surrounding text must match exactly (modulo whitespace runs)."""
     exp = " ".join(expected.split())
@@ -388,20 +386,18 @@ def _lines_match(expected: str, actual: str, rel_tol: float) -> bool:
         return False
     for e, a in zip(_NUMBER_RE.findall(exp), _NUMBER_RE.findall(act)):
         fe, fa = float(e), float(a)
-        if not abs(fe - fa) <= 1e-9 + rel_tol * max(abs(fe), abs(fa)):
+        if not abs(fe - fa) <= 1e-9 + DEFAULT_REL_TOL * max(abs(fe), abs(fa)):
             return False
     return True
 
 
-def outputs_match(expected: str, actual: str, rel_tol: float = DEFAULT_REL_TOL) -> bool:
+def outputs_match(expected: str, actual: str) -> bool:
     """Line-by-line comparison with relative numeric tolerance."""
     exp_lines = normalize_output(expected)
     act_lines = normalize_output(actual)
     if len(exp_lines) != len(act_lines):
         return False
-    return all(
-        _lines_match(exp, act, rel_tol) for exp, act in zip(exp_lines, act_lines)
-    )
+    return all(_lines_match(exp, act) for exp, act in zip(exp_lines, act_lines))
 
 
 def _run_binary(
@@ -437,7 +433,6 @@ def differential_validate(
     input_args: list[str] | None = None,
     *,
     timeout: float = DEFAULT_RUN_TIMEOUT,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> Verdict:
     """Pass iff the parallel output matches serial at every thread count."""
     input_args = list(input_args or [])
@@ -453,7 +448,7 @@ def differential_validate(
                 parallel_binary, code, threads,
             )
             return Verdict.RUNTIME_ERROR
-        if not outputs_match(serial_out, parallel_out, rel_tol):
+        if not outputs_match(serial_out, parallel_out):
             log.info("output mismatch for %s at %d threads", parallel_binary, threads)
             return Verdict.MISMATCH
     return Verdict.PASS

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import os
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,9 @@ from omprag.bench import (
     write_speedup_series,
     write_speedups_csv,
 )
+from omprag.cli import main as cli_main
 from omprag.errors import BenchError, InvalidInputError, LockHeldError, ParseError
+from omprag.validation import CaseSpec, save_jsonl
 
 import omprag
 
@@ -228,3 +232,58 @@ class TestRendering:
         assert "matrix_multiply" in table
         assert "179.809" in table
         assert "8 threads (s)" in table
+
+
+# Stands in for a compiler: "compiles" a shell script by copying it to an
+# executable output, and sleeps on a source that mentions SLOW.
+_COPYING_CC = """
+import os, shutil, sys, time
+src, out = sys.argv[1], sys.argv[2]
+if "SLOW" in open(src).read():
+    time.sleep(60)
+shutil.copy(src, out)
+os.chmod(out, 0o755)
+"""
+
+
+def test_cli_bench_skips_a_failed_case_and_keeps_the_rest(tmp_path, caplog):
+    compiler = tmp_path / "copying_cc.py"
+    compiler.write_text(_COPYING_CC)
+    config = tmp_path / "bench.ini"
+    config.write_text(
+        f"[omprag]\ncompile_cmd = {sys.executable} {compiler} {{src}} {{bin}}\n"
+        "compile_timeout = 2\n"
+    )
+    run_dir = tmp_path / "run"
+    generated = {
+        "a": 'echo "ELAPSED_SECONDS=0.5"',
+        "b": "exit 3",
+        "c": "echo no timing line",
+        "d": "# SLOW",
+    }
+    for case_id, body in generated.items():
+        (run_dir / "cases" / case_id).mkdir(parents=True)
+        (run_dir / "cases" / case_id / "generated.cpp").write_text(f"#!/bin/sh\n{body}\n")
+    cases = [CaseSpec(case_id, "unused.cc") for case_id in [*generated, "missing"]]
+    save_jsonl(cases, tmp_path / "cases.jsonl")
+    out = tmp_path / "out"
+
+    rc = cli_main([
+        "bench", "--config", str(config), "--case-manifest", str(tmp_path / "cases.jsonl"),
+        "--run-dir", str(run_dir), "--out-dir", str(out),
+        "--threads-sweep", "1,2", "--repetitions", "1",
+    ])
+    assert rc == 0
+    with (out / "records.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["case_id"], r["threads"]) for r in rows] == [("a", "1"), ("a", "2")]
+    assert all((out / name).is_file() for name in
+               ("records.csv", "speedups.csv", "speedup_series.csv", "runtime_table.txt"))
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    for prefix in (
+        "skipping bench of b: b: benchmark exited 3 at 1 threads",
+        "skipping bench of c: benchmark output has no ELAPSED_SECONDS",
+        "skipping bench of d: compile exceeded 2s",
+        "no generated code for missing",
+    ):
+        assert any(m.startswith(prefix) for m in warned), warned

@@ -17,9 +17,7 @@ import pytest
 import omprag
 from omprag.config import PipelineConfig
 from omprag.errors import CompileTimeoutError
-from omprag.harvest import (
-    FixtureQaApi, build_case_manifest, clean_and_filter, compile_filter, fetch_candidates,
-)
+from omprag.harvest import FixtureQaApi, harvest_cases
 from omprag.pipeline import validate_case
 from omprag.validation import Verdict, compile_gate
 
@@ -165,7 +163,7 @@ def test_concurrent_same_key_calls_all_succeed(cc, tmp_path):
 
 @requires_compiler
 def test_harvested_serial_source_is_built_once(tmp_path):
-    """compile_filter, build_case_manifest, then validation under two profiles:
+    """harvest_cases, then validation under two profiles:
     each serial source reaches g++ once."""
     log = tmp_path / "gpp_runs.log"
     wrapper = tmp_path / "gpp"
@@ -183,18 +181,12 @@ def test_harvested_serial_source_is_built_once(tmp_path):
         return sum(1 for line in log.read_text().splitlines()
                    if "-fopenmp" not in line and "--version" not in line)
 
-    survivors = []
-    for raw in fetch_candidates("histogram", 1, FixtureQaApi(FIXTURES / "harvest")):
-        candidate = clean_and_filter(raw)
-        if candidate.rejection_reason is None:
-            candidate = compile_filter(candidate, tmp_path / "gate", compile_cmd=compile_cmd)
-        if candidate.rejection_reason is None:
-            survivors.append(candidate)
-    specs = build_case_manifest(survivors, tmp_path / "cases")
+    cfg = PipelineConfig(compile_cmd=compile_cmd, differential_threads=(1, 2))
+    _, specs = harvest_cases(["histogram"], FixtureQaApi(FIXTURES / "harvest"),
+                             tmp_path / "cases", cfg, max_pages=1)
     assert len(specs) == 2
     assert serial_runs() == 2
 
-    cfg = PipelineConfig(compile_cmd=compile_cmd, differential_threads=(1, 2))
     for profile in ("baseline", "rag"):
         out_dir = tmp_path / profile
         for spec in specs:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from omprag.cli import main as cli_main
+from omprag.config import PipelineConfig
 from omprag.errors import FetchError, InvalidInputError, ReplayMissError
 from omprag.harvest import (
     CANONICAL_MARK,
@@ -17,6 +22,7 @@ from omprag.harvest import (
     compile_filter,
     extract_code_blocks,
     fetch_candidates,
+    harvest_cases,
 )
 from omprag.validation import load_case_manifest, save_jsonl
 
@@ -242,14 +248,8 @@ class TestCompileFilterAndManifest:
         import subprocess
 
         api = FixtureQaApi(HARVEST_FIXTURES)
-        survivors = []
-        for raw in fetch_candidates("histogram", max_pages=1, api=api):
-            candidate = clean_and_filter(raw)
-            if candidate.rejection_reason is None:
-                candidate = compile_filter(candidate, tmp_path / "gate")
-            if candidate.rejection_reason is None:
-                survivors.append(candidate)
-        specs = build_case_manifest(survivors, tmp_path / "cases")
+        _, specs = harvest_cases(["histogram"], api, tmp_path / "cases", PipelineConfig(),
+                                 max_pages=1)
         assert [s.case_id for s in specs] == ["case1", "case2"]
         for spec in specs:
             built = subprocess.run(
@@ -302,3 +302,88 @@ class TestCompileFilterAndManifest:
         # 0.9999999999999999: six significant digits would print it as 1
         assert out.stdout.startswith("RESULT s=")
         assert float(out.stdout.strip().removeprefix("RESULT s=")) == expected
+
+
+# Stands in for a compiler: logs each compile, sleeps on a source that
+# mentions SLOW, and otherwise writes an empty output file.
+_LOGGING_CC = """#!{python}
+import sys, time
+if sys.argv[1:] == ["--version"]:
+    print("logging stand-in 1.0")
+    sys.exit(0)
+with open({log!r}, "a") as fh:
+    fh.write(" ".join(sys.argv[1:]) + "\\n")
+if "SLOW" in open(sys.argv[-3]).read():
+    time.sleep(60)
+open(sys.argv[-1], "w").close()
+"""
+
+
+def _logging_cc(tmp_path: Path) -> tuple[str, Path]:
+    """(compile_cmd naming the stand-in, its log file)."""
+    path = tmp_path / "logging_cc"
+    log = tmp_path / "logging_cc.log"
+    path.write_text(_LOGGING_CC.format(python=sys.executable, log=str(log)))
+    path.chmod(0o755)
+    return f"{path} -fopenmp -std=c++17 -O2 {{src}} -o {{bin}}", log
+
+
+def test_compile_timeout_rejects_the_candidate_and_the_harvest_goes_on(tmp_path):
+    compile_cmd, _ = _logging_cc(tmp_path)
+    code = (FIXTURES / "snippets" / "accept_1.cc").read_text()
+    slow = code.replace("double total = 0.0;", "double total = 0.0; // SLOW")
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    items = [{"link": f"https://example.com/q/{i}", "body_markdown": f"```cpp\n{c}```\n"}
+             for i, c in enumerate([code, slow, code])]
+    (pages / "histogram_p1.json").write_text(json.dumps({"items": items}))
+    cfg = PipelineConfig(compile_cmd=compile_cmd, compile_timeout=2.0)
+
+    candidates, specs = harvest_cases(["histogram"], FixtureQaApi(pages), tmp_path / "cases",
+                                      cfg, max_pages=1)
+    assert [c.rejection_reason for c in candidates] == [
+        None, RejectionReason.COMPILE_FAIL, None]
+    assert [s.case_id for s in specs] == ["case1", "case2"]
+    assert [Path(s.serial_path).read_text() for s in specs] == [
+        candidates[0].cleaned_code + "\n"] * 2
+
+
+# SHA-256 of what `omprag harvest` wrote for these fixture pages before the
+# harvest loop moved into harvest_cases.
+_FIXTURE_HARVEST_SHA256 = {
+    "cases.jsonl": "4ff688ebfd480263bd8530c54f3c8bfd3a50c0fcf49a5597befd97b49a03a09a",
+    "cases/case1.cc": "8309d047011b72f52df1af7b0062f31f978852191585d1a8215c3d60f4629c6e",
+    "cases/case2.cc": "9419f863f2bd34a2cd59ef2e541c8a2057deae171402b6f2c0e33105eefb896f",
+}
+_HARVEST_ARGV = [
+    "harvest", "--fixture-dir", str(HARVEST_FIXTURES),
+    "--categories", "histogram", "dot product", "--max-pages", "2",
+    "--cases-dir", "cases", "--case-manifest", "cases.jsonl",
+]
+
+
+@requires_compiler
+def test_cli_harvest_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(_HARVEST_ARGV) == 0
+    assert capsys.readouterr().out == (
+        "harvested 2 cases (2 rejected) -> cases, manifest cases.jsonl\n")
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _FIXTURE_HARVEST_SHA256}
+    assert written == _FIXTURE_HARVEST_SHA256
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_cli_harvest_gates_with_the_configured_compiler(tmp_path, monkeypatch, source):
+    compile_cmd, log = _logging_cc(tmp_path)
+    argv = list(_HARVEST_ARGV)
+    if source == "env":
+        monkeypatch.setenv("OMPRAG_COMPILE_CMD", compile_cmd)
+    else:
+        (tmp_path / "run.ini").write_text(f"[omprag]\ncompile_cmd = {compile_cmd}\n")
+        argv += ["--config", str(tmp_path / "run.ini")]
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 0
+    # one serial compile (no -fopenmp) per survivor of the cleaning filters
+    assert log.read_text().splitlines() == ["-std=c++17 -O2 case.cpp -o case.bin"] * 2
+    assert len(load_case_manifest(tmp_path / "cases.jsonl")) == 2

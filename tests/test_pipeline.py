@@ -332,6 +332,17 @@ class TestCli:
         assert (tmp_path / "speedup_series.csv").is_file()
         assert (tmp_path / "runtime_table.txt").is_file()
 
+    def test_bench_writes_to_the_configured_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMPRAG_OUT_DIR", str(tmp_path / "configured"))
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main([
+            "bench",
+            "--import-csv", str(Path(omprag.__file__).parent / "data" / "reference_runtimes.csv"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "configured" / "records.csv").is_file()
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_code(self, mini_env, tmp_path, capsys):
         rc = cli_main([
             "run",
@@ -406,6 +417,10 @@ class TestCli:
         config.write_text("[omprag]\nrun_timeout = soon\n")
         with pytest.raises(InvalidInputError, match="run_timeout"):
             load_config(config, env={})
+
+    def test_api_keys_come_from_the_environment(self):
+        cfg = load_config(env={"OMPRAG_CHAT_API_KEY": "k", "OMPRAG_EMBED_API_KEY": "e"})
+        assert (cfg.chat_api_key, cfg.embed_api_key) == ("k", "e")
 
     def test_workers_default_to_the_cores_this_process_may_use(self):
         assert PipelineConfig().workers == len(os.sched_getaffinity(0))
