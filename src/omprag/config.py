@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 import os
+import shlex
+import string
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -69,6 +71,20 @@ class PipelineConfig:
         for name in ("compile_timeout", "run_timeout", "repetitions"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0")
+        # The gate formats the command with the two file names and splits it
+        # into words; a command that cannot be would fail on the first compile.
+        try:
+            names = {name for _, name, _, _ in string.Formatter().parse(self.compile_cmd)
+                     if name is not None}
+            if names == {"src", "bin"}:
+                shlex.split(self.compile_cmd.format(src="case.cpp", bin="case.bin"))
+        except ValueError:  # unbalanced braces or quotes, or a bad format spec
+            names = None
+        if names != {"src", "bin"}:
+            raise InvalidInputError(
+                "compile_cmd must name {src} and {bin}, no other {field}, and split "
+                f"into words: {self.compile_cmd!r}"
+            )
 
 
 def _parse_value(name: str, raw: str):

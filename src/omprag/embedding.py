@@ -16,12 +16,15 @@ import re
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import requests
 
 from .errors import InvalidInputError, ProviderError
 from .retry import MAX_IN_FLIGHT, post_with_retry
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -184,6 +187,8 @@ class RemoteEmbedder:
         self.timeout = timeout
         self.attempts = attempts
         self.backoff_base = backoff_base
+        import requests  # deferred, so a process that makes no HTTP call never loads it
+
         self._session = session or requests.Session()
         self._slots = threading.Semaphore(MAX_IN_FLIGHT)
         self._lock = threading.Lock()

@@ -14,11 +14,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, ProviderError, ReplayMissError
 from .retry import MAX_IN_FLIGHT, post_with_retry
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -121,6 +123,8 @@ class ChatHttpProvider:
         self.api_key = api_key
         self.attempts = attempts
         self.backoff_base = backoff_base
+        import requests  # deferred, so a process that makes no HTTP call never loads it
+
         self._session = session or requests.Session()
         self._slots = threading.Semaphore(MAX_IN_FLIGHT)
 

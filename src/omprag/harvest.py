@@ -16,12 +16,14 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .config import PipelineConfig
 from .errors import CompileTimeoutError, FetchError, InvalidInputError, ReplayMissError
 from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -127,6 +129,8 @@ class HttpQaApi:
         self.endpoint = endpoint
         self.api_key = api_key
         self.keywords = keywords or {}
+        import requests  # deferred, so a process that makes no HTTP call never loads it
+
         self._session = session or requests.Session()
 
     def fetch_page(self, category: str, page: int) -> dict:
@@ -139,6 +143,8 @@ class HttpQaApi:
         }
         if self.api_key:
             params["key"] = self.api_key
+        import requests
+
         try:
             response = self._session.get(self.endpoint, params=params, timeout=30.0)
         except requests.RequestException as exc:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import threading
 import time
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import ProviderError
+
+if TYPE_CHECKING:
+    import requests
 
 MAX_IN_FLIGHT = 4
 
@@ -36,6 +38,8 @@ def post_with_retry(
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    import requests  # deferred, so a process that makes no HTTP call never loads it
+
     last_error: Exception | None = None
     for attempt in range(attempts):
         if attempt:

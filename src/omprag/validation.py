@@ -20,10 +20,11 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from .errors import CompileTimeoutError, InvalidInputError, ParseError, ToolchainError
 
@@ -144,6 +145,52 @@ class CompileResult:
 
 _VERSION_PROBE_TIMEOUT = 10.0
 
+# A leading include block gets a precompiled header after this many plain
+# misses. With g++ 12.2 at -O2, building one costs 0.29-0.84 s of CPU and each
+# compile that loads it saves 0.09-0.19 s, so a build is worth 3.1-4.3
+# compiles. Building once the plain compiles have wasted about that much (the
+# ski-rental rule) never spends more than twice the best choice in hindsight.
+_PCH_AFTER_MISSES = 3
+# Only GCC looks for ``<header>.gch`` beside a header it includes.
+_GCC_MARK = "Free Software Foundation"
+_INCLUDE_LINE_RE = re.compile(r"[ \t]*#[ \t]*include[ \t]*<([^<>]+)>[ \t\r]*")
+_EMPTY_LINE_RE = re.compile(r"[ \t]*(?://[^\r]*)?\r?")
+# Flags that move the header search, or whose meaning depends on the working
+# directory, which differs for the header build; and -H, which lists the
+# headers read among the diagnostics.
+_NO_PCH_FLAG_RE = re.compile(r"-[IiBH]|--include|--sysroot|--prefix|-nostdinc|-?-specs|-fplugin|@")
+
+
+def _leading_includes(source: str) -> tuple[list[str], str] | None:
+    """The source's leading block of system includes, and its first header.
+
+    Each whole-line ``#include <...>`` is kept as written, and each blank or
+    ``//`` comment line becomes an empty line, so a line of the block has its
+    line number in the source. The block ends before the first line of any
+    other kind, a comment that a backslash (or ``??/``) may continue onto the
+    next line included; trailing empty lines are dropped. None when it holds no
+    include, or the first header's name could leave the header directory.
+    """
+    block: list[str] = []
+    first = None
+    for line in source.split("\n"):
+        include = _INCLUDE_LINE_RE.fullmatch(line)
+        if include:
+            first = first or include.group(1)
+            block.append(line)
+        elif _EMPTY_LINE_RE.fullmatch(line) and not line.rstrip().endswith(("\\", "?")):
+            block.append("")
+        else:
+            break
+    while block and not block[-1]:
+        block.pop()
+    if first is None:
+        return None
+    name = PurePosixPath(first)
+    if name.is_absolute() or ".." in name.parts:
+        return None
+    return block, first
+
 
 class BuildStore:
     """Content-addressed compile results, scoped to one process.
@@ -152,8 +199,9 @@ class BuildStore:
     the compiler's identity (resolved path plus ``--version`` output), in
     the spirit of ccache's direct mode. Each key maps to ``(ok, diagnostics)``
     and, for a successful compile, a copy of its binary in a private
-    directory made on first use and removed at interpreter exit. Nothing is
-    shared across processes.
+    directory made on first use and removed at interpreter exit. That
+    directory also holds the precompiled headers that ``pch_dir`` builds.
+    Nothing is shared across processes.
     """
 
     def __init__(self):
@@ -162,6 +210,10 @@ class BuildStore:
         self._results: dict[str, tuple[bool, str]] = {}
         self._key_locks: dict[str, threading.Lock] = {}
         self._compilers: dict[tuple, str] = {}
+        # Per leading-include block: plain misses so far, then the directory
+        # holding its precompiled header, or None once a build failed.
+        self._pch_misses: Counter[str] = Counter()
+        self._pchs: dict[str, Path | None] = {}
 
     def _compiler_identity(self, compiler: str, timeout: float) -> str:
         """Path plus ``--version`` output, probed once per compiler file state.
@@ -208,19 +260,83 @@ class BuildStore:
         _install(self._binary(key), dest, link=True)
 
     def _binary(self, key: str) -> Path:
+        return self._root() / f"{key}.bin"
+
+    def _root(self) -> Path:
         with self._lock:
             if self._dir is None:
                 self._dir = Path(tempfile.mkdtemp(prefix="omprag-builds-"))
                 atexit.register(self.close)
-            return self._dir / f"{key}.bin"
+            return self._dir
+
+    def pch_dir(self, source: str, argv: list[str], compiler: str, env: dict,
+                timeout: float) -> Path | None:
+        """A directory to put first on the include path for this miss, or None.
+
+        The directory holds a precompiled header of the source's leading
+        include block, built once per (block, argv, compiler identity) after
+        ``_PCH_AFTER_MISSES`` plain misses of that key. GCC loads it in place
+        of parsing the block, with the same binary and diagnostics. A
+        compiler other than GCC, an argv that moves the include search or
+        does not name ``case.cpp`` and ``case.bin`` as whole words, and a
+        key whose build failed compile without one.
+        """
+        leading = _leading_includes(source)
+        if (leading is None or argv.count("case.cpp") != 1 or argv.count("case.bin") != 1
+                or any(_NO_PCH_FLAG_RE.match(word) for word in argv[1:])):
+            return None
+        identity = self._compiler_identity(compiler, timeout)
+        if _GCC_MARK not in identity:
+            return None
+        block, header = leading
+        key = hashlib.sha256(json.dumps([block, argv, identity]).encode()).hexdigest()
+        with self.key_lock(f"pch-{key}"):
+            if key not in self._pchs:
+                self._pch_misses[key] += 1
+                if self._pch_misses[key] <= _PCH_AFTER_MISSES:
+                    return None
+                self._pchs[key] = self._build_pch(key, block, header, argv, env, timeout)
+            return self._pchs[key]
+
+    def _build_pch(self, key: str, block: list[str], header: str, argv: list[str],
+                   env: dict, timeout: float) -> Path | None:
+        """Compile the block as ``case.cpp`` into ``<header>.gch``, alone in its directory.
+
+        The block is named and line-aligned like the source it came from, so
+        an ``In file included from case.cpp:N`` note reads the same.
+        """
+        directory = self._root() / f"pch-{key}"
+        gch = directory / f"{header}.gch"
+        src = directory / "case.cpp"
+        words = {"case.cpp": ["-x", "c++-header", "case.cpp"], "case.bin": [f"{header}.gch"]}
+        build = [part for word in argv for part in words.get(word, [word])]
+        start = time.perf_counter()
+        try:
+            gch.parent.mkdir(parents=True, exist_ok=True)
+            src.write_text("\n".join(block) + "\n", encoding="utf-8")
+            ok = subprocess.run(build, capture_output=True, timeout=timeout, cwd=directory,
+                                env=env, stdin=subprocess.DEVNULL).returncode == 0
+            ok = ok and gch.is_file()
+        except (OSError, subprocess.TimeoutExpired):
+            ok = False
+        finally:
+            src.unlink(missing_ok=True)
+        log.debug("precompiled header <%s> for %s: %.2fs, %s", header, key[:12],
+                  time.perf_counter() - start, "built" if ok else "failed")
+        if not ok:
+            shutil.rmtree(directory, ignore_errors=True)
+            return None
+        return directory
 
     def close(self) -> None:
-        """Remove the store directory and forget every result."""
+        """Remove the store directory and forget every result and header."""
         with self._lock:
             if self._dir is not None:
                 shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
             self._results.clear()
+            self._pch_misses.clear()
+            self._pchs.clear()
 
 
 def _install(src: Path, dest: Path, *, link: bool) -> None:
@@ -292,9 +408,11 @@ def compile_gate(
             return CompileResult(ok, diagnostics, binary if ok else None, cached=True)
         env = dict(os.environ)
         env["LC_ALL"] = "C"  # plain-ASCII diagnostics, reproducible across locales
+        pch_dir = store.pch_dir(source, argv, compiler, env, timeout)
+        run_argv = argv if pch_dir is None else [argv[0], "-I", str(pch_dir), *argv[1:]]
         try:
             proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env
+                run_argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env
             )
         except subprocess.TimeoutExpired as exc:
             raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc

@@ -15,17 +15,24 @@ from pathlib import Path
 import pytest
 
 import omprag
+from omprag import validation
 from omprag.config import PipelineConfig
 from omprag.errors import CompileTimeoutError
 from omprag.harvest import FixtureQaApi, harvest_cases
 from omprag.pipeline import validate_case
-from omprag.validation import Verdict, compile_gate
+from omprag.validation import (
+    _PCH_AFTER_MISSES, Verdict, _leading_includes, classify_failure, compile_gate,
+)
 
 from conftest import FIXTURES, requires_compiler
 
+# What a stand-in answers to --version to pass for GCC.
+GCC_VERSION = "g++ (stand-in) 12.2.0\nCopyright (C) 2022 Free Software Foundation, Inc."
+BLOCK = "#include <vector>\n\n"
+
 # Stands in for a compiler: logs each run, answers --version from VERSION,
-# fails on a source marked BROKEN, sleeps on one marked SLOW, and otherwise
-# writes a shell script that prints one line.
+# runs on_header for a header build, fails on a source marked BROKEN, sleeps
+# on one marked SLOW, and otherwise writes a shell script that prints one line.
 _STAND_IN = """#!{python}
 import os, sys, time
 VERSION = {version!r}
@@ -35,6 +42,8 @@ src, out = sys.argv[-2:]
 text = open(src).read()
 with open({log!r}, "a") as fh:
     fh.write(" ".join(sys.argv[1:]) + "\\n")
+if "c++-header" in sys.argv:
+    {on_header}
 if "SLOW" in text:
     time.sleep(60)
 if "BROKEN" in text:
@@ -52,9 +61,10 @@ class StandIn:
         self.write()
 
     def write(self, version: str = "stand-in 1.0",
-              on_version: str = "print(VERSION); sys.exit(0)") -> None:
+              on_version: str = "print(VERSION); sys.exit(0)", on_header: str = "pass") -> None:
         self.path.write_text(_STAND_IN.format(
-            python=sys.executable, version=version, on_version=on_version, log=str(self.log)))
+            python=sys.executable, version=version, on_version=on_version,
+            on_header=on_header, log=str(self.log)))
         self.path.chmod(0o755)
 
     def cmd(self, flags: str = "") -> str:
@@ -62,7 +72,11 @@ class StandIn:
 
     @property
     def runs(self) -> int:
-        return len(self.log.read_text().splitlines()) if self.log.exists() else 0
+        return len(self.lines)
+
+    @property
+    def lines(self) -> list[str]:
+        return self.log.read_text().splitlines() if self.log.exists() else []
 
 
 @pytest.fixture
@@ -200,13 +214,18 @@ def test_harvested_serial_source_is_built_once(tmp_path):
 
 
 def test_store_directory_is_removed_when_the_process_exits(cc, tmp_path):
+    cc.write(version=GCC_VERSION)
     child = (
         "import sys\n"
         "from omprag import validation\n"
         f"validation.compile_gate('int main() {{}}', {str(tmp_path / 'a')!r},\n"
         f"                        compile_cmd={cc.cmd()!r})\n"
+        f"for i in range(validation._PCH_AFTER_MISSES + 1):\n"
+        f"    validation.compile_gate({BLOCK!r} + f'int main() {{{{ return {{i}}; }}}}',\n"
+        f"                            {str(tmp_path / 'b')!r}, compile_cmd={cc.cmd()!r})\n"
         "store = validation._store._dir\n"
         "assert store is not None and any(store.iterdir())\n"
+        "assert [p.name for p in store.glob('pch-*/*')] == ['vector.gch']\n"
         "print(store)\n"
     )
     env = {**os.environ,
@@ -218,3 +237,172 @@ def test_store_directory_is_removed_when_the_process_exits(cc, tmp_path):
     store = Path(proc.stdout.strip())
     assert store.name.startswith("omprag-builds-")
     assert not store.exists()
+
+
+def _header_builds(cc: StandIn) -> list[str]:
+    return [line for line in cc.lines if "-x c++-header" in line]
+
+
+def _misses_sharing_a_block(cc, tmp_path, count, flags="", block=BLOCK):
+    """count distinct sources that start with the same include block, compiled in turn."""
+    return [compile_gate(f"{block}int main() {{ return {i}; }}", tmp_path / f"m{i}",
+                         compile_cmd=cc.cmd(flags)) for i in range(count)]
+
+
+@pytest.mark.parametrize("header", ["vector", "bits/stdc++.h"])
+def test_gcc_block_gets_one_precompiled_header_after_its_plain_misses(cc, tmp_path, header,
+                                                                      build_store):
+    cc.write(version=GCC_VERSION)
+    block = f"// leading comment\n#include <{header}>\n\n#include <cstdio>\n\n"
+    results = _misses_sharing_a_block(cc, tmp_path, _PCH_AFTER_MISSES + 2, "-O2", block)
+    assert all(r.ok and not r.cached for r in results)
+    build, = _header_builds(cc)
+    assert build == f"-O2 -x c++-header case.cpp {header}.gch"
+    pch_dir, = build_store._dir.glob("pch-*")
+    assert sorted(str(p.relative_to(pch_dir)) for p in pch_dir.rglob("*.gch")) == [f"{header}.gch"]
+    assert not (pch_dir / "case.cpp").exists()
+    plain = cc.lines[:_PCH_AFTER_MISSES]
+    with_pch = [line for line in cc.lines if line not in plain and line != build]
+    assert all(line == "-O2 case.cpp case.bin" for line in plain)
+    assert with_pch == [f"-I {pch_dir} -O2 case.cpp case.bin"] * 2
+
+
+def test_leading_include_block_keeps_line_numbers():
+    source = ("// banner\n#include <iostream>\r\n\n  # include <vector>  \n//\n\n"
+              "#define N 4\n#include <cmath>\n")
+    assert _leading_includes(source) == (
+        ["", "#include <iostream>\r", "", "  # include <vector>  "], "iostream")
+    assert _leading_includes("#include <omp.h>\n// a comment \\\n#include <x>\n") == (
+        ["#include <omp.h>"], "omp.h")
+    for source in ("int main() {}", '#include "local.h"\n', "// only\n\n",
+                   "#include <../escape.h>\n", "#include </abs.h>\n",
+                   "/* c */\n#include <vector>\n", "#include <vector> // trailing\n",
+                   "// old Mac line end\r#include <vector>\n"):
+        assert _leading_includes(source) is None, source
+
+
+@pytest.mark.parametrize("on_version", [
+    "sys.exit('unknown option --version')",
+    "print(VERSION); sys.exit(0)",  # answers, but not as GCC
+])
+def test_compiler_that_is_not_gcc_never_builds_a_header(cc, tmp_path, on_version):
+    cc.write(on_version=on_version)
+    results = _misses_sharing_a_block(cc, tmp_path, _PCH_AFTER_MISSES + 2)
+    assert all(r.ok for r in results)
+    assert cc.runs == _PCH_AFTER_MISSES + 2
+    assert not _header_builds(cc) and not any("-I" in line for line in cc.lines)
+
+
+@pytest.mark.parametrize("flags", ["-I.", "-isystem inc", "--sysroot=/", "-nostdinc", "-H"])
+def test_include_search_flags_get_no_header(cc, tmp_path, flags):
+    cc.write(version=GCC_VERSION)
+    _misses_sharing_a_block(cc, tmp_path, _PCH_AFTER_MISSES + 2, flags)
+    assert cc.runs == _PCH_AFTER_MISSES + 2 and not _header_builds(cc)
+
+
+def test_placeholder_inside_a_word_gets_no_header(cc, tmp_path):
+    cc.write(version=GCC_VERSION)
+    cmd = f"{cc.path} -O2 -x c++ ./{{src}} {{bin}}"
+    for i in range(_PCH_AFTER_MISSES + 2):
+        assert compile_gate(f"{BLOCK}int main() {{ return {i}; }}", tmp_path / f"m{i}",
+                            compile_cmd=cmd).ok
+    assert cc.runs == _PCH_AFTER_MISSES + 2 and not _header_builds(cc)
+
+
+def test_failed_header_build_falls_back_and_is_not_retried(cc, tmp_path, build_store):
+    cc.write(version=GCC_VERSION, on_header="sys.exit('no headers here')")
+    plain = _misses_sharing_a_block(cc, tmp_path / "plain", _PCH_AFTER_MISSES + 3)
+    assert len(_header_builds(cc)) == 1
+    assert [(r.ok, r.diagnostics) for r in plain] == [(True, "")] * (_PCH_AFTER_MISSES + 3)
+    assert all(_run(r.binary) == "RESULT 1\n" for r in plain)
+    assert not any(line.startswith("-I") for line in cc.lines)
+    assert not list(build_store._dir.glob("pch-*"))
+    broken = compile_gate(f"{BLOCK}BROKEN", tmp_path / "broken", compile_cmd=cc.cmd())
+    assert not broken.ok and "error: broken" in broken.diagnostics
+    assert len(_header_builds(cc)) == 1
+
+
+def test_concurrent_misses_build_the_header_once(cc, tmp_path):
+    cc.write(version=GCC_VERSION)
+    workers = min(64, 4 * len(os.sched_getaffinity(0)))  # more workers than cores
+    count = _PCH_AFTER_MISSES + 2 * workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(compile_gate, f"{BLOCK}int main() {{ return {i}; }}",
+                            tmp_path / f"w{i}", compile_cmd=cc.cmd())
+                for i in range(count)
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.ok and not r.cached for r in results)
+    assert len(_header_builds(cc)) == 1
+    assert cc.runs == count + 1
+    assert sum(line.startswith("-I ") for line in cc.lines) == count - _PCH_AFTER_MISSES
+
+
+def test_close_removes_the_header_and_forgets_the_counts(cc, tmp_path, build_store):
+    cc.write(version=GCC_VERSION)
+    _misses_sharing_a_block(cc, tmp_path / "a", _PCH_AFTER_MISSES + 1)
+    gch, = build_store._dir.glob("pch-*/vector.gch")
+    build_store.close()
+    assert not gch.exists()
+    _misses_sharing_a_block(cc, tmp_path / "b", _PCH_AFTER_MISSES)
+    assert len(_header_builds(cc)) == 1  # the counts started again
+
+
+_GPP_LOGGER = """#!{python}
+import os, sys
+with open({log!r}, "a") as fh:
+    fh.write(os.getcwd() + "\\t" + "\\t".join(sys.argv[1:]) + "\\n")
+os.execvp("g++", ["g++", *sys.argv[1:]])
+"""
+
+
+@requires_compiler
+def test_precompiled_header_gives_the_same_binaries_and_diagnostics(tmp_path, monkeypatch):
+    """Every fixture compiles to the same result with no header as through
+    the header its leading block gets once enough other sources shared it."""
+    log = tmp_path / "gpp.log"
+    gpp = tmp_path / "gpp"
+    gpp.write_text(_GPP_LOGGER.format(python=sys.executable, log=str(log)))
+    gpp.chmod(0o755)
+    cmd = f"{gpp} -fopenmp -std=c++17 -O2 {{src}} -o {{bin}}"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in [
+        *sorted((FIXTURES / "broken").glob("*.cpp")), *sorted((FIXTURES / "cases").glob("*.cc"))]}
+
+    def compile_all(jobs: dict, side: str) -> dict:
+        with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+            futures = {name: pool.submit(compile_gate, source, tmp_path / side / name,
+                                         compile_cmd=cmd)
+                       for name, source in jobs.items()}
+            results = {name: future.result(timeout=300) for name, future in futures.items()}
+        return {name: (r.ok, r.diagnostics, r.binary.read_bytes() if r.ok else None,
+                       None if r.ok else classify_failure(r.diagnostics, jobs[name]))
+                for name, r in results.items()}
+
+    def runs(side: str) -> dict:
+        lines = [line.split("\t") for line in log.read_text().splitlines()]
+        return {Path(cwd).name: args for cwd, *args in lines if Path(cwd).parent.name == side}
+
+    with monkeypatch.context() as patch:  # a store that never builds a header
+        patch.setattr(validation, "_PCH_AFTER_MISSES", len(sources))
+        plain = compile_all(sources, "plain")
+    assert not any("-I" in args for args in runs("plain").values())
+
+    monkeypatch.setattr(validation, "_store", validation.BuildStore())
+    blocks = {"\n".join(_leading_includes(s)[0]) + "\n" for s in sources.values()}
+    compile_all({f"{b}-{i}": f"{block}int main() {{ return {i}; }}\n"
+                 for b, block in enumerate(sorted(blocks)) for i in range(_PCH_AFTER_MISSES)},
+                "warm")
+    with_pch = compile_all(sources, "pch")
+    for name, source in sources.items():
+        assert with_pch[name] == plain[name], name
+        flag, pch_dir, *_ = runs("pch")[name]
+        assert flag == "-I", name
+        assert (Path(pch_dir) / f"{_leading_includes(source)[1]}.gch").is_file(), name
+    header_builds = [line for line in log.read_text().splitlines() if "c++-header" in line]
+    assert len(header_builds) == len(blocks)

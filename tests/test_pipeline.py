@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -404,6 +405,11 @@ class TestCli:
             {"run_timeout": -1.0},
             {"repetitions": 0},
             {"workers": "two"},
+            {"compile_cmd": "g++ -O2 {src}"},
+            {"compile_cmd": "g++ -DX={x} {src} -o {bin}"},
+            {"compile_cmd": ""},
+            {"compile_cmd": "g++ {src} -o {bin"},
+            {"compile_cmd": "g++ '{src} -o {bin}"},
         ],
     )
     def test_meaningless_settings_refused(self, overrides):
@@ -433,3 +439,22 @@ class TestCli:
         env = {"OMPRAG_K": "6"}
         assert load_config(config, env=env).k == 6
         assert load_config(config, overrides={"k": 9}, env=env).k == 9
+
+
+def test_importing_omprag_does_not_load_requests():
+    """Only an HTTP client pays for importing requests."""
+    child = (
+        "import importlib, pkgutil, sys\n"
+        "import omprag\n"
+        "for module in pkgutil.iter_modules(omprag.__path__):\n"
+        "    importlib.import_module('omprag.' + module.name)\n"
+        "assert len(sys.modules) > 20 and 'omprag.cli' in sys.modules\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(omprag.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
