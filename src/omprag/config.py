@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import configparser
 import os
-import shlex
-import string
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -18,7 +16,9 @@ from .bench import DEFAULT_REPETITIONS, DEFAULT_THREAD_SWEEP
 from .errors import InvalidInputError
 from .generation import DEFAULT_TEMPERATURE
 from .index import DEFAULT_TOP_K
-from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, DEFAULT_RUN_TIMEOUT
+from .validation import (
+    DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, DEFAULT_RUN_TIMEOUT, compile_argv,
+)
 
 ENV_PREFIX = "OMPRAG_"
 
@@ -71,20 +71,14 @@ class PipelineConfig:
         for name in ("compile_timeout", "run_timeout", "repetitions"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0")
-        # The gate formats the command with the two file names and splits it
-        # into words; a command that cannot be would fail on the first compile.
+        # A command the gate cannot turn into words would fail on the first compile.
         try:
-            names = {name for _, name, _, _ in string.Formatter().parse(self.compile_cmd)
-                     if name is not None}
-            if names == {"src", "bin"}:
-                shlex.split(self.compile_cmd.format(src="case.cpp", bin="case.bin"))
-        except ValueError:  # unbalanced braces or quotes, or a bad format spec
-            names = None
-        if names != {"src", "bin"}:
+            compile_argv(self.compile_cmd)
+        except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 "compile_cmd must name {src} and {bin}, no other {field}, and split "
                 f"into words: {self.compile_cmd!r}"
-            )
+            ) from exc
 
 
 def _parse_value(name: str, raw: str):

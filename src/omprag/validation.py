@@ -167,9 +167,10 @@ def _leading_includes(source: str) -> tuple[list[str], str] | None:
     Each whole-line ``#include <...>`` is kept as written, and each blank or
     ``//`` comment line becomes an empty line, so a line of the block has its
     line number in the source. The block ends before the first line of any
-    other kind, a comment that a backslash (or ``??/``) may continue onto the
-    next line included; trailing empty lines are dropped. None when it holds no
-    include, or the first header's name could leave the header directory.
+    other kind, a comment that a backslash (or the trigraph ``??/``) may
+    continue onto the next line included; trailing empty lines are dropped.
+    None when it holds no include, or the first header's name could leave the
+    header directory.
     """
     block: list[str] = []
     first = None
@@ -178,7 +179,7 @@ def _leading_includes(source: str) -> tuple[list[str], str] | None:
         if include:
             first = first or include.group(1)
             block.append(line)
-        elif _EMPTY_LINE_RE.fullmatch(line) and not line.rstrip().endswith(("\\", "?")):
+        elif _EMPTY_LINE_RE.fullmatch(line) and not line.rstrip().endswith(("\\", "??/")):
             block.append("")
         else:
             break
@@ -303,7 +304,10 @@ class BuildStore:
         """Compile the block as ``case.cpp`` into ``<header>.gch``, alone in its directory.
 
         The block is named and line-aligned like the source it came from, so
-        an ``In file included from case.cpp:N`` note reads the same.
+        an ``In file included from case.cpp:N`` note reads the same. A build
+        that prints anything counts as failed: GCC does not replay a header's
+        warnings (a ``#warning`` in a deprecated header, say) when it loads
+        the PCH, so the compiles that did would lose them.
         """
         directory = self._root() / f"pch-{key}"
         gch = directory / f"{header}.gch"
@@ -314,9 +318,9 @@ class BuildStore:
         try:
             gch.parent.mkdir(parents=True, exist_ok=True)
             src.write_text("\n".join(block) + "\n", encoding="utf-8")
-            ok = subprocess.run(build, capture_output=True, timeout=timeout, cwd=directory,
-                                env=env, stdin=subprocess.DEVNULL).returncode == 0
-            ok = ok and gch.is_file()
+            proc = subprocess.run(build, capture_output=True, timeout=timeout, cwd=directory,
+                                  env=env, stdin=subprocess.DEVNULL)
+            ok = proc.returncode == 0 and not proc.stdout and not proc.stderr and gch.is_file()
         except (OSError, subprocess.TimeoutExpired):
             ok = False
         finally:
@@ -360,6 +364,19 @@ def _install(src: Path, dest: Path, *, link: bool) -> None:
 _store = BuildStore()
 
 
+def compile_argv(compile_cmd: str) -> list[str]:
+    """The words of compile_cmd, with ``{src}`` as ``case.cpp`` and ``{bin}`` as ``case.bin``.
+
+    Raises what ``str.format`` raises for any other ``{field}`` (KeyError,
+    IndexError, AttributeError, TypeError), and ValueError for unbalanced
+    braces or quotes, or words that never name the source and the binary.
+    """
+    argv = shlex.split(compile_cmd.format(src="case.cpp", bin="case.bin"))
+    if not all(any(name in word for word in argv) for name in ("case.cpp", "case.bin")):
+        raise ValueError(f"compile_cmd names no {{src}} or no {{bin}}: {compile_cmd!r}")
+    return argv
+
+
 def compile_gate(
     source: str,
     work_dir: Path | str,
@@ -387,7 +404,7 @@ def compile_gate(
 
     # Invoke with paths relative to work_dir so diagnostics are
     # reproducible regardless of where the work tree lives.
-    argv = shlex.split(compile_cmd.format(src=src.name, bin=binary.name))
+    argv = compile_argv(compile_cmd)
     if not openmp:
         argv = [a for a in argv if a != "-fopenmp"]
     compiler = shutil.which(argv[0])
@@ -408,8 +425,13 @@ def compile_gate(
             return CompileResult(ok, diagnostics, binary if ok else None, cached=True)
         env = dict(os.environ)
         env["LC_ALL"] = "C"  # plain-ASCII diagnostics, reproducible across locales
+        run_argv = list(argv)
         pch_dir = store.pch_dir(source, argv, compiler, env, timeout)
-        run_argv = argv if pch_dir is None else [argv[0], "-I", str(pch_dir), *argv[1:]]
+        if pch_dir is not None:
+            # Beside the source word, where a wrapper in argv[0] (``env``,
+            # ``nice``, ``ccache``) passes it on to the compiler.
+            at = argv.index("case.cpp")
+            run_argv[at:at] = ["-I", str(pch_dir)]
         try:
             proc = subprocess.run(
                 run_argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env

@@ -264,7 +264,34 @@ def test_gcc_block_gets_one_precompiled_header_after_its_plain_misses(cc, tmp_pa
     plain = cc.lines[:_PCH_AFTER_MISSES]
     with_pch = [line for line in cc.lines if line not in plain and line != build]
     assert all(line == "-O2 case.cpp case.bin" for line in plain)
-    assert with_pch == [f"-I {pch_dir} -O2 case.cpp case.bin"] * 2
+    assert with_pch == [f"-O2 -I {pch_dir} case.cpp case.bin"] * 2
+
+
+# Stands in for a wrapper such as env, nice or ccache: it answers --version
+# for GCC, takes no option of its own, and runs the command that follows.
+_WRAPPER = """#!{python}
+import os, sys
+if sys.argv[1:] == ["--version"]:
+    print({version!r})
+    sys.exit(0)
+if sys.argv[1].startswith("-"):
+    sys.exit("wrapper: unknown option " + sys.argv[1])
+os.execv(sys.argv[1], sys.argv[1:])
+"""
+
+
+def test_wrapped_compiler_gets_the_header_directory_beside_the_source(cc, tmp_path,
+                                                                      build_store):
+    wrapper = tmp_path / "wrapper"
+    wrapper.write_text(_WRAPPER.format(python=sys.executable, version=GCC_VERSION))
+    wrapper.chmod(0o755)
+    cmd = f"{wrapper} {cc.path} -O2 {{src}} {{bin}}"
+    results = [compile_gate(f"{BLOCK}int main() {{ return {i}; }}", tmp_path / f"m{i}",
+                            compile_cmd=cmd) for i in range(_PCH_AFTER_MISSES + 2)]
+    assert [(r.ok, r.diagnostics) for r in results] == [(True, "")] * (_PCH_AFTER_MISSES + 2)
+    assert _header_builds(cc) == ["-O2 -x c++-header case.cpp vector.gch"]
+    pch_dir, = build_store._dir.glob("pch-*")
+    assert cc.lines[-2:] == [f"-O2 -I {pch_dir} case.cpp case.bin"] * 2
 
 
 def test_leading_include_block_keeps_line_numbers():
@@ -272,8 +299,11 @@ def test_leading_include_block_keeps_line_numbers():
               "#define N 4\n#include <cmath>\n")
     assert _leading_includes(source) == (
         ["", "#include <iostream>\r", "", "  # include <vector>  "], "iostream")
-    assert _leading_includes("#include <omp.h>\n// a comment \\\n#include <x>\n") == (
-        ["#include <omp.h>"], "omp.h")
+    for continued in ("// a comment \\", "// a note ??/"):  # a backslash, or its trigraph
+        assert _leading_includes(f"#include <omp.h>\n{continued}\n#include <x>\n") == (
+            ["#include <omp.h>"], "omp.h")
+    assert _leading_includes("// why?\n#include <vector>\n") == (["", "#include <vector>"],
+                                                                  "vector")
     for source in ("int main() {}", '#include "local.h"\n', "// only\n\n",
                    "#include <../escape.h>\n", "#include </abs.h>\n",
                    "/* c */\n#include <vector>\n", "#include <vector> // trailing\n",
@@ -401,8 +431,29 @@ def test_precompiled_header_gives_the_same_binaries_and_diagnostics(tmp_path, mo
     with_pch = compile_all(sources, "pch")
     for name, source in sources.items():
         assert with_pch[name] == plain[name], name
-        flag, pch_dir, *_ = runs("pch")[name]
-        assert flag == "-I", name
-        assert (Path(pch_dir) / f"{_leading_includes(source)[1]}.gch").is_file(), name
+        args = runs("pch")[name]
+        at = args.index("-I")
+        assert args[at + 2] == "case.cpp", name
+        assert (Path(args[at + 1]) / f"{_leading_includes(source)[1]}.gch").is_file(), name
     header_builds = [line for line in log.read_text().splitlines() if "c++-header" in line]
     assert len(header_builds) == len(blocks)
+
+
+@requires_compiler
+def test_header_that_warns_gets_no_precompiled_header(tmp_path, build_store):
+    """GCC does not replay a header's #warning when it loads a PCH, so a block
+    whose header warns keeps compiling in full, with its warning."""
+    log = tmp_path / "gpp.log"
+    gpp = tmp_path / "gpp"
+    gpp.write_text(_GPP_LOGGER.format(python=sys.executable, log=str(log)))
+    gpp.chmod(0o755)
+    cmd = f"{gpp} -std=c++17 -O2 {{src}} -o {{bin}}"
+    results = [compile_gate(f"#include <strstream>\nint main() {{ return {i}; }}\n",
+                            tmp_path / f"m{i}", compile_cmd=cmd)
+               for i in range(_PCH_AFTER_MISSES + 2)]
+    assert all(r.ok and "#warning" in r.diagnostics for r in results)
+    assert len({r.diagnostics for r in results}) == 1
+    runs = log.read_text().splitlines()
+    assert len([line for line in runs if "c++-header" in line]) == 1
+    assert not any("\t-I\t" in line for line in runs)
+    assert not list(build_store._dir.glob("pch-*"))

@@ -408,6 +408,9 @@ class TestCli:
             {"compile_cmd": "g++ -O2 {src}"},
             {"compile_cmd": "g++ -DX={x} {src} -o {bin}"},
             {"compile_cmd": ""},
+            {"compile_cmd": "   "},
+            {"compile_cmd": "g++ {0} {src} -o {bin}"},
+            {"compile_cmd": "g++ {src.stem} -o {bin}"},
             {"compile_cmd": "g++ {src} -o {bin"},
             {"compile_cmd": "g++ '{src} -o {bin}"},
         ],
