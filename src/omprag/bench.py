@@ -9,6 +9,7 @@ so no other benchmark shares the machine.
 from __future__ import annotations
 
 import csv
+import fcntl
 import logging
 import os
 import re
@@ -61,7 +62,13 @@ class SpeedupRow:
 
 
 class BenchLock:
-    """Exclusive-run lock; refuses to start while another runner is alive."""
+    """Exclusive-run lock: an advisory ``flock`` on the lock file.
+
+    The kernel releases the lock when its holder exits, however it exits, so
+    a file left behind never blocks a later runner. The file is not removed
+    on exit: a runner that unlinked it while locked would let the next one
+    lock a new file beside a runner still holding the old one.
+    """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
@@ -69,33 +76,22 @@ class BenchLock:
 
     def __enter__(self) -> "BenchLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for _ in range(2):
-            try:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(self._fd, str(os.getpid()).encode())
-                return self
-            except FileExistsError:
-                if self._holder_alive():
-                    raise LockHeldError(
-                        f"benchmark lock {self.path} is held by a live process"
-                    ) from None
-                log.warning("removing stale benchmark lock %s", self.path)
-                self.path.unlink(missing_ok=True)
-        raise LockHeldError(f"could not acquire benchmark lock {self.path}")
-
-    def _holder_alive(self) -> bool:
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            pid = int(self.path.read_text().strip())
-            os.kill(pid, 0)
-            return True
-        except (OSError, ValueError):
-            return False
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise LockHeldError(
+                    f"benchmark lock {self.path} is held by another runner") from None
+            raise
+        self._fd = fd
+        return self
 
     def __exit__(self, *exc_info) -> None:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-        self.path.unlink(missing_ok=True)
 
 
 def parse_elapsed_seconds(output: str) -> float:

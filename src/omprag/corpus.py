@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CorpusEmptyError, IntegrityError, InvalidInputError
+from .errors import CorpusEmptyError, IntegrityError, InvalidInputError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,12 @@ class CorpusManifest:
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: not JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ParseError(f"{path}:{lineno}: not a JSON object")
                 if "chunk_id" not in record:
                     manifest.corpus_version = str(record.get("corpus_version", "1"))
                     manifest.created_at = str(record.get("created_at", ""))
@@ -127,6 +132,8 @@ class CorpusManifest:
                     manifest.chunks.append(CorpusChunk.from_dict(record))
                 except InvalidInputError as exc:
                     raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+                except (TypeError, ValueError) as exc:  # a field of the wrong type
+                    raise ParseError(f"{path}:{lineno}: bad chunk record: {exc}") from exc
         manifest.validate()
         return manifest
 

@@ -13,7 +13,7 @@ import html
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -82,7 +82,6 @@ class SnippetCandidate:
     raw_code: str
     cleaned_code: str | None = None
     rejection_reason: RejectionReason | None = None
-    printed_exprs: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
         if (self.cleaned_code is None) == (self.rejection_reason is None):
@@ -279,7 +278,7 @@ def _printed_expressions(statement: str) -> list[str]:
 
 def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
     """Drop statements that perform stream/printf I/O; keep co-located
-    declarations. Returns (code, printed_exprs, removed_names): the value
+    declarations. Returns (code, printed, removed_names): the value
     expressions that were being printed, and every identifier a removed
     statement touched (used to prune declarations that lost their only
     reference)."""
@@ -405,9 +404,9 @@ def clean_and_filter(
         reason = RejectionReason.TOO_SHORT
 
     if reason is not None:
-        return replace(candidate, cleaned_code=None, rejection_reason=reason, printed_exprs=[])
-    code = _inject_result_harness(code, printed)
-    return replace(candidate, cleaned_code=code, rejection_reason=None, printed_exprs=printed)
+        return replace(candidate, cleaned_code=None, rejection_reason=reason)
+    return replace(candidate, cleaned_code=_inject_result_harness(code, printed),
+                   rejection_reason=None)
 
 
 def _case_file_text(candidate: SnippetCandidate) -> str:
@@ -437,8 +436,7 @@ def compile_filter(
     if ok:
         return candidate
     log.info("candidate from %s rejected by compile gate", candidate.origin_url or "<unknown>")
-    return replace(candidate, cleaned_code=None, rejection_reason=RejectionReason.COMPILE_FAIL,
-                   printed_exprs=[])
+    return replace(candidate, cleaned_code=None, rejection_reason=RejectionReason.COMPILE_FAIL)
 
 
 def build_case_manifest(

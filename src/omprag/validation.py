@@ -159,6 +159,8 @@ _EMPTY_LINE_RE = re.compile(r"[ \t]*(?://[^\r]*)?\r?")
 # directory, which differs for the header build; and -H, which lists the
 # headers read among the diagnostics.
 _NO_PCH_FLAG_RE = re.compile(r"-[IiBH]|--include|--sysroot|--prefix|-nostdinc|-?-specs|-fplugin|@")
+# The object file that g++ writes to its temporary directory and then links.
+_TEMP_OBJECT_RE = re.compile(r"/(?:[^\s:/]+/)*cc[0-9A-Za-z]{6}\.o\b")
 
 
 def _leading_includes(source: str) -> tuple[list[str], str] | None:
@@ -193,14 +195,32 @@ def _leading_includes(source: str) -> tuple[list[str], str] | None:
     return block, first
 
 
+def _run_compiler(directory: Path, text: str, argv: list[str],
+                  timeout: float) -> subprocess.CompletedProcess:
+    """Write text as ``directory/case.cpp`` and run argv there under LC_ALL=C.
+
+    LC_ALL=C keeps the diagnostics plain ASCII across locales. A failed link
+    names the compiler's temporary object, a fresh random path on every run, so
+    that path reads ``case.o``. Raises OSError when the compiler cannot start,
+    and subprocess.TimeoutExpired after timeout seconds.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "case.cpp").write_text(text, encoding="utf-8")
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=directory,
+                          env={**os.environ, "LC_ALL": "C"}, stdin=subprocess.DEVNULL)
+    proc.stderr = _TEMP_OBJECT_RE.sub("case.o", proc.stderr)
+    return proc
+
+
 class BuildStore:
     """Content-addressed compile results, scoped to one process.
 
     The key is the SHA-256 of the source text, the final compiler argv and
     the compiler's identity (resolved path plus ``--version`` output), in
-    the spirit of ccache's direct mode. Each key maps to ``(ok, diagnostics)``
-    and, for a successful compile, a copy of its binary in a private
-    directory made on first use and removed at interpreter exit. That
+    the spirit of ccache's direct mode. Each key compiles once, in its own
+    ``<key>/`` directory of a private store directory made on first use and
+    removed at interpreter exit, and maps to ``(ok, diagnostics)``; a
+    successful compile's binary stays there as ``case.bin``. The store
     directory also holds the precompiled headers that ``pch_dir`` builds.
     Nothing is shared across processes.
     """
@@ -239,29 +259,10 @@ class BuildStore:
                 self._compilers[state] = f"{path}\n{probe}"
             return self._compilers[state]
 
-    def key(self, source: str, argv: list[str], compiler: str, timeout: float) -> str:
-        identity = self._compiler_identity(compiler, timeout)
-        return hashlib.sha256(json.dumps([source, argv, identity]).encode()).hexdigest()
-
     def key_lock(self, key: str) -> threading.Lock:
         """Serialises same-key compiles, so concurrent callers build once."""
         with self._lock:
             return self._key_locks.setdefault(key, threading.Lock())
-
-    def lookup(self, key: str) -> tuple[bool, str] | None:
-        return self._results.get(key)
-
-    def record(self, key: str, ok: bool, diagnostics: str, binary: Path | None) -> None:
-        if binary is not None:
-            _install(binary, self._binary(key), link=False)
-        self._results[key] = (ok, diagnostics)
-
-    def place(self, key: str, dest: Path) -> None:
-        """Put the stored binary at dest: a hard link, or a copy where linking fails."""
-        _install(self._binary(key), dest, link=True)
-
-    def _binary(self, key: str) -> Path:
-        return self._root() / f"{key}.bin"
 
     def _root(self) -> Path:
         with self._lock:
@@ -270,7 +271,41 @@ class BuildStore:
                 atexit.register(self.close)
             return self._dir
 
-    def pch_dir(self, source: str, argv: list[str], compiler: str, env: dict,
+    def build(self, source: str, argv: list[str], compiler: str,
+              timeout: float) -> tuple[bool, str, Path | None, bool]:
+        """``(ok, diagnostics, stored binary, cached)`` of compiling source with argv.
+
+        argv names the source ``case.cpp`` and the binary ``case.bin``,
+        relative to the key's directory, where the compile runs. The stored
+        binary is None for a failed compile, and cached is True when an
+        earlier call made the build. A timed-out compile raises
+        CompileTimeoutError and leaves nothing in the store.
+        """
+        identity = self._compiler_identity(compiler, timeout)
+        key = hashlib.sha256(json.dumps([source, argv, identity]).encode()).hexdigest()
+        directory = self._root() / key
+        with self.key_lock(key):
+            cached = key in self._results
+            if cached:
+                log.debug("compile cache hit %s", key[:12])
+            else:
+                run_argv = list(argv)
+                pch_dir = self.pch_dir(source, argv, identity, timeout)
+                if pch_dir is not None:
+                    # Beside the source word, where a wrapper in argv[0] (``env``,
+                    # ``nice``, ``ccache``) passes it on to the compiler.
+                    at = argv.index("case.cpp")
+                    run_argv[at:at] = ["-I", str(pch_dir)]
+                try:
+                    proc = _run_compiler(directory, source, run_argv, timeout)
+                except subprocess.TimeoutExpired as exc:
+                    shutil.rmtree(directory, ignore_errors=True)
+                    raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
+                self._results[key] = (proc.returncode == 0, proc.stderr)
+            ok, diagnostics = self._results[key]
+        return ok, diagnostics, directory / "case.bin" if ok else None, cached
+
+    def pch_dir(self, source: str, argv: list[str], identity: str,
                 timeout: float) -> Path | None:
         """A directory to put first on the include path for this miss, or None.
 
@@ -284,10 +319,8 @@ class BuildStore:
         """
         leading = _leading_includes(source)
         if (leading is None or argv.count("case.cpp") != 1 or argv.count("case.bin") != 1
-                or any(_NO_PCH_FLAG_RE.match(word) for word in argv[1:])):
-            return None
-        identity = self._compiler_identity(compiler, timeout)
-        if _GCC_MARK not in identity:
+                or any(_NO_PCH_FLAG_RE.match(word) for word in argv[1:])
+                or _GCC_MARK not in identity):
             return None
         block, header = leading
         key = hashlib.sha256(json.dumps([block, argv, identity]).encode()).hexdigest()
@@ -296,11 +329,11 @@ class BuildStore:
                 self._pch_misses[key] += 1
                 if self._pch_misses[key] <= _PCH_AFTER_MISSES:
                     return None
-                self._pchs[key] = self._build_pch(key, block, header, argv, env, timeout)
+                self._pchs[key] = self._build_pch(key, block, header, argv, timeout)
             return self._pchs[key]
 
     def _build_pch(self, key: str, block: list[str], header: str, argv: list[str],
-                   env: dict, timeout: float) -> Path | None:
+                   timeout: float) -> Path | None:
         """Compile the block as ``case.cpp`` into ``<header>.gch``, alone in its directory.
 
         The block is named and line-aligned like the source it came from, so
@@ -311,20 +344,17 @@ class BuildStore:
         """
         directory = self._root() / f"pch-{key}"
         gch = directory / f"{header}.gch"
-        src = directory / "case.cpp"
         words = {"case.cpp": ["-x", "c++-header", "case.cpp"], "case.bin": [f"{header}.gch"]}
         build = [part for word in argv for part in words.get(word, [word])]
         start = time.perf_counter()
         try:
             gch.parent.mkdir(parents=True, exist_ok=True)
-            src.write_text("\n".join(block) + "\n", encoding="utf-8")
-            proc = subprocess.run(build, capture_output=True, timeout=timeout, cwd=directory,
-                                  env=env, stdin=subprocess.DEVNULL)
+            proc = _run_compiler(directory, "\n".join(block) + "\n", build, timeout)
             ok = proc.returncode == 0 and not proc.stdout and not proc.stderr and gch.is_file()
         except (OSError, subprocess.TimeoutExpired):
             ok = False
         finally:
-            src.unlink(missing_ok=True)
+            (directory / "case.cpp").unlink(missing_ok=True)
         log.debug("precompiled header <%s> for %s: %.2fs, %s", header, key[:12],
                   time.perf_counter() - start, "built" if ok else "failed")
         if not ok:
@@ -341,24 +371,6 @@ class BuildStore:
             self._results.clear()
             self._pch_misses.clear()
             self._pchs.clear()
-
-
-def _install(src: Path, dest: Path, *, link: bool) -> None:
-    """Write dest under a temporary name (a hard link when link is set and
-    the filesystem allows it, else a copy), then rename it into place."""
-    tmp = dest.with_name(f".{dest.name}.{threading.get_ident()}.tmp")
-    tmp.unlink(missing_ok=True)
-    try:
-        if link:
-            try:
-                os.link(src, tmp)
-            except OSError:  # another filesystem, or no hard links there
-                link = False
-        if not link:
-            shutil.copy2(src, tmp)
-        os.replace(tmp, dest)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 _store = BuildStore()
@@ -385,62 +397,43 @@ def compile_gate(
     compile_cmd: str = DEFAULT_COMPILE_CMD,
     timeout: float = DEFAULT_COMPILE_TIMEOUT,
 ) -> CompileResult:
-    """Compile the source under work_dir, once per process for each build.
+    """Compile the source through the process's build store into work_dir.
 
     work_dir ends up holding the source and, when the compile succeeds, the
-    binary. A build already made in this process (same source text, argv and
-    compiler) is served from the process's build store with the same ``ok``
-    and diagnostics, and ``cached=True``; outside work_dir, only that store
-    is written. A timed-out compile is never stored.
+    binary: a hard link to (or a copy of) the one the store built. The store
+    compiles each build (same source text, argv and compiler) once per
+    process, in a directory of its own, so the diagnostics name ``case.cpp``
+    wherever work_dir is; a repeated build gets the same ``ok`` and
+    diagnostics with ``cached=True``. A timed-out compile is never stored.
 
     A missing compiler raises ToolchainError (an environment problem,
     distinct from a failed compile, which is a result).
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    src = work_dir / "case.cpp"
+    (work_dir / "case.cpp").write_text(source, encoding="utf-8")
     binary = work_dir / "case.bin"
-    src.write_text(source, encoding="utf-8")
-
-    # Invoke with paths relative to work_dir so diagnostics are
-    # reproducible regardless of where the work tree lives.
+    # A failed or timed-out build leaves no binary here, not even an older one.
+    binary.unlink(missing_ok=True)
     argv = compile_argv(compile_cmd)
     if not openmp:
         argv = [a for a in argv if a != "-fopenmp"]
     compiler = shutil.which(argv[0])
     if compiler is None:
         raise ToolchainError(f"compiler {argv[0]!r} not found on this host")
-    store = _store
-    key = store.key(source, argv, compiler, timeout)
-    with store.key_lock(key):
-        # A stale binary may be a hard link into the store; a compiler that
-        # rewrote it in place would corrupt the stored copy.
-        binary.unlink(missing_ok=True)
-        hit = store.lookup(key)
-        if hit is not None:
-            ok, diagnostics = hit
-            if ok:
-                store.place(key, binary)
-            log.debug("compile cache hit %s for %s", key[:12], src)
-            return CompileResult(ok, diagnostics, binary if ok else None, cached=True)
-        env = dict(os.environ)
-        env["LC_ALL"] = "C"  # plain-ASCII diagnostics, reproducible across locales
-        run_argv = list(argv)
-        pch_dir = store.pch_dir(source, argv, compiler, env, timeout)
-        if pch_dir is not None:
-            # Beside the source word, where a wrapper in argv[0] (``env``,
-            # ``nice``, ``ccache``) passes it on to the compiler.
-            at = argv.index("case.cpp")
-            run_argv[at:at] = ["-I", str(pch_dir)]
+    ok, diagnostics, stored, cached = _store.build(source, argv, compiler, timeout)
+    if ok:
+        tmp = work_dir / f".case.bin.{threading.get_ident()}.tmp"
+        tmp.unlink(missing_ok=True)
         try:
-            proc = subprocess.run(
-                run_argv, capture_output=True, text=True, timeout=timeout, cwd=work_dir, env=env
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
-        ok = proc.returncode == 0
-        store.record(key, ok, proc.stderr, binary if ok else None)
-    return CompileResult(ok=ok, diagnostics=proc.stderr, binary=binary if ok else None)
+            try:
+                os.link(stored, tmp)
+            except OSError:  # another filesystem, or no hard links there
+                shutil.copy2(stored, tmp)
+            os.replace(tmp, binary)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return CompileResult(ok, diagnostics, binary if ok else None, cached)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ processes."""
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import shutil
@@ -31,14 +32,16 @@ GCC_VERSION = "g++ (stand-in) 12.2.0\nCopyright (C) 2022 Free Software Foundatio
 BLOCK = "#include <vector>\n\n"
 
 # Stands in for a compiler: logs each run, answers --version from VERSION,
-# runs on_header for a header build, fails on a source marked BROKEN, sleeps
-# on one marked SLOW, and otherwise writes a shell script that prints one line.
+# runs before_read before it reads its source and on_header for a header
+# build, fails on a source marked BROKEN, sleeps on one marked SLOW, and
+# otherwise writes a shell script that prints one line.
 _STAND_IN = """#!{python}
 import os, sys, time
 VERSION = {version!r}
 if sys.argv[1:] == ["--version"]:
     {on_version}
 src, out = sys.argv[-2:]
+{before_read}
 text = open(src).read()
 with open({log!r}, "a") as fh:
     fh.write(" ".join(sys.argv[1:]) + "\\n")
@@ -61,10 +64,11 @@ class StandIn:
         self.write()
 
     def write(self, version: str = "stand-in 1.0",
-              on_version: str = "print(VERSION); sys.exit(0)", on_header: str = "pass") -> None:
+              on_version: str = "print(VERSION); sys.exit(0)", on_header: str = "pass",
+              before_read: str = "pass") -> None:
         self.path.write_text(_STAND_IN.format(
             python=sys.executable, version=version, on_version=on_version,
-            on_header=on_header, log=str(self.log)))
+            on_header=on_header, before_read=before_read, log=str(self.log)))
         self.path.chmod(0o755)
 
     def cmd(self, flags: str = "") -> str:
@@ -136,10 +140,26 @@ def test_hit_survives_the_first_work_dir(cc, tmp_path):
     assert (tmp_path / "b" / "case.cpp").read_text() == "int main() {}"
 
 
-def test_timed_out_compile_is_not_stored(cc, tmp_path):
+def test_timed_out_compile_is_not_stored(cc, tmp_path, build_store):
     for work in ("a", "b"):
+        (tmp_path / work).mkdir()
+        (tmp_path / work / "case.bin").write_text("an older binary")
         with pytest.raises(CompileTimeoutError):
             compile_gate("// SLOW", tmp_path / work, compile_cmd=cc.cmd(), timeout=1.0)
+        assert {p.name for p in (tmp_path / work).iterdir()} == {"case.cpp"}
+        assert not any(build_store._dir.iterdir())
+    assert cc.runs == 2
+
+
+def test_sources_gated_at_once_in_one_work_dir_get_their_own_results(cc, tmp_path):
+    cc.write(before_read="time.sleep(0.5)")  # both sources are written before either is read
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(compile_gate, source, tmp_path / "gate", compile_cmd=cc.cmd())
+                   for source in ("int main() {}", "BROKEN")]
+        good, broken = [f.result(timeout=60) for f in futures]
+    assert (good.ok, good.diagnostics, good.cached) == (True, "", False)
+    assert (broken.ok, broken.binary, broken.cached) == (False, None, False)
+    assert "error: broken" in broken.diagnostics
     assert cc.runs == 2
 
 
@@ -384,11 +404,16 @@ def test_close_removes_the_header_and_forgets_the_counts(cc, tmp_path, build_sto
     assert len(_header_builds(cc)) == 1  # the counts started again
 
 
+# Logs each run as the SHA-256 of its case.cpp ("-" for the --version probe)
+# and its arguments, tab-separated, then runs g++.
 _GPP_LOGGER = """#!{python}
-import os, sys
+import hashlib, os, sys
+args = sys.argv[1:]
+digest = "-" if args == ["--version"] else hashlib.sha256(
+    open("case.cpp", "rb").read()).hexdigest()
 with open({log!r}, "a") as fh:
-    fh.write(os.getcwd() + "\\t" + "\\t".join(sys.argv[1:]) + "\\n")
-os.execvp("g++", ["g++", *sys.argv[1:]])
+    fh.write(digest + "\\t" + "\\t".join(args) + "\\n")
+os.execvp("g++", ["g++", *args])
 """
 
 
@@ -414,24 +439,27 @@ def test_precompiled_header_gives_the_same_binaries_and_diagnostics(tmp_path, mo
                        None if r.ok else classify_failure(r.diagnostics, jobs[name]))
                 for name, r in results.items()}
 
-    def runs(side: str) -> dict:
-        lines = [line.split("\t") for line in log.read_text().splitlines()]
-        return {Path(cwd).name: args for cwd, *args in lines if Path(cwd).parent.name == side}
+    def runs(after: int = 0) -> dict:
+        """The arguments of each source's compile logged after line ``after``."""
+        names = {hashlib.sha256(s.encode()).hexdigest(): name for name, s in sources.items()}
+        lines = [line.split("\t") for line in log.read_text().splitlines()[after:]]
+        return {names[digest]: args for digest, *args in lines if digest in names}
 
     with monkeypatch.context() as patch:  # a store that never builds a header
         patch.setattr(validation, "_PCH_AFTER_MISSES", len(sources))
         plain = compile_all(sources, "plain")
-    assert not any("-I" in args for args in runs("plain").values())
+    assert not any("-I" in args for args in runs().values())
 
     monkeypatch.setattr(validation, "_store", validation.BuildStore())
     blocks = {"\n".join(_leading_includes(s)[0]) + "\n" for s in sources.values()}
     compile_all({f"{b}-{i}": f"{block}int main() {{ return {i}; }}\n"
                  for b, block in enumerate(sorted(blocks)) for i in range(_PCH_AFTER_MISSES)},
                 "warm")
+    warmed = len(log.read_text().splitlines())
     with_pch = compile_all(sources, "pch")
     for name, source in sources.items():
         assert with_pch[name] == plain[name], name
-        args = runs("pch")[name]
+        args = runs(warmed)[name]
         at = args.index("-I")
         assert args[at + 2] == "case.cpp", name
         assert (Path(args[at + 1]) / f"{_leading_includes(source)[1]}.gch").is_file(), name
@@ -457,3 +485,22 @@ def test_header_that_warns_gets_no_precompiled_header(tmp_path, build_store):
     assert len([line for line in runs if "c++-header" in line]) == 1
     assert not any("\t-I\t" in line for line in runs)
     assert not list(build_store._dir.glob("pch-*"))
+
+
+@requires_compiler
+def test_failed_link_diagnostics_name_case_o_on_every_run():
+    """g++ links a temporary object with a fresh random name on each run."""
+    source = "#include <omp.h>\nint main() { return omp_get_wtime() < 0; }\n"
+    argv = validation.compile_argv("g++ -std=c++17 -O2 {src} -o {bin}")
+
+    def link_once() -> tuple:
+        store = validation.BuildStore()
+        try:
+            return store.build(source, argv, shutil.which("g++"), 60.0)
+        finally:
+            store.close()
+
+    first, second = link_once(), link_once()
+    assert first[0] is False and "undefined reference to `omp_get_wtime'" in first[1]
+    assert "case.o: in function `main'" in first[1]
+    assert second[:2] == first[:2]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -16,7 +17,8 @@ from omprag.corpus import (
     ingest_corpus,
     token_estimate,
 )
-from omprag.errors import CorpusEmptyError, IntegrityError, InvalidInputError
+from omprag.cli import main as cli_main
+from omprag.errors import CorpusEmptyError, IntegrityError, InvalidInputError, ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -196,6 +198,28 @@ def test_load_rejects_bad_token_estimate(tmp_path):
     )
     with pytest.raises(InvalidInputError):
         CorpusManifest.load(path)
+
+
+_HEADER_LINE = '{"corpus_version": "1", "created_at": ""}\n'
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"chunk_id": "c", ',
+    '["chunk_id", "c"]',
+    '{"chunk_id": "c", "source_doc": "d", "heading_path": 5, "body": "b", "token_estimate": 1}',
+])
+def test_load_names_a_malformed_line(tmp_path, bad_line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(_HEADER_LINE + "\n" + bad_line + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
+        CorpusManifest.load(path)
+
+
+def test_cli_index_of_a_bad_manifest_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_HEADER_LINE + "not json\n")
+    assert cli_main(["index", "--manifest", str(path), "--out", str(tmp_path / "i")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
 
 def test_chunk_by_id_sees_chunks_appended_after_a_lookup():
