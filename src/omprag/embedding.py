@@ -9,6 +9,7 @@ must never be compared.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -102,6 +103,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+# Holds the vocabulary of a few thousand chunks: each entry takes about 280
+# bytes with its token, so a full memo stays near 1 MB.
+@functools.lru_cache(maxsize=4096)
 def _bucket_and_sign(token: str, dimension: int) -> tuple[int, float]:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     bucket = int.from_bytes(digest[:4], "big") % dimension
@@ -133,11 +137,12 @@ class HashedTfidfEmbedder:
         docs = list(texts)
         if not docs:
             raise InvalidInputError("cannot fit IDF weights on an empty corpus")
-        df = np.zeros(self.dimension)
+        # Each document adds 1 to the document frequency of each bucket it hits.
+        doc_buckets = []
         for doc in docs:
-            buckets = {_bucket_and_sign(t, self.dimension)[0] for t in tokenize(doc)}
-            for b in buckets:
-                df[b] += 1.0
+            tokens = set(tokenize(doc))
+            doc_buckets.extend({_bucket_and_sign(t, self.dimension)[0] for t in tokens})
+        df = np.bincount(doc_buckets, minlength=self.dimension).astype(np.float64)
         n = float(len(docs))
         self._idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
         fingerprint = hashlib.sha256(self._idf.tobytes()).hexdigest()[:8]
@@ -150,10 +155,12 @@ class HashedTfidfEmbedder:
         tokens = tokenize(text)
         if not tokens:
             raise InvalidInputError("text contains no embeddable tokens")
-        vec = np.zeros(self.dimension)
-        for token, count in Counter(tokens).items():
-            bucket, sign = _bucket_and_sign(token, self.dimension)
-            vec[bucket] += sign * count
+        counts = Counter(tokens)
+        buckets, signs = zip(*(_bucket_and_sign(t, self.dimension) for t in counts))
+        # The weights are small integers, so every bucket's sum is exact and
+        # does not depend on the order the tokens are added in.
+        vec = np.bincount(buckets, weights=np.multiply(signs, list(counts.values())),
+                          minlength=self.dimension)
         if self._idf is not None:
             vec = vec * self._idf
         norm = float(np.linalg.norm(vec))

@@ -7,15 +7,21 @@ scores all N rows with NumPy's own single-threaded ``einsum`` loop, and
 ``np.partition`` finds the k-th score. The candidates within TIE_MARGIN of
 it are re-scored with the canonical ``cosine_similarity`` and sorted by
 descending score, ties on ascending chunk_id. So ids, ranks and scores are
-bitwise those of scoring every entry with ``cosine_similarity``. The
-on-disk format is one JSON header line (provider_tag, dimension, count)
-followed by one entry per line.
+bitwise those of scoring every entry with ``cosine_similarity``.
+
+``save`` writes format 2: a JSON header line (format, provider_tag,
+dimension, count), a JSON line listing the chunk ids in row order, then
+the (count, dimension) little-endian float64 array as an ``.npy`` payload.
+``load`` also reads format 1, whose header has no ``format`` key and is
+followed by one ``{"chunk_id", "vector"}`` JSON line per entry.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +38,8 @@ DEFAULT_TOP_K = 4
 # Far wider than the rounding gap between the einsum pass and np.dot (about
 # 1e-13 at D = 512), so every entry of the true top-k gets re-scored.
 TIE_MARGIN = 1e-9
+
+FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -132,26 +140,39 @@ class VectorIndex:
         ]
 
     def save(self, path: Path | str) -> None:
+        """Write the index in format 2 through a temporary file beside path.
+
+        The file replaces path only once it is complete, so an interrupted
+        save leaves whatever path held before.
+        """
         path = Path(path)
-        header = json.dumps(
-            {
-                "provider_tag": self.provider_tag,
-                "dimension": self.dimension,
-                "count": len(self.entries),
-            }
-        )
-        lines = [header]
-        for entry in self.entries:
-            lines.append(
-                json.dumps({"chunk_id": entry.chunk_id, "vector": entry.vector.values.tolist()})
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = {
+            "format": FORMAT,
+            "provider_tag": self.provider_tag,
+            "dimension": self.dimension,
+            "count": len(self.entries),
+        }
+        chunk_ids = [entry.chunk_id for entry in self.entries]
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with tmp.open("wb") as fh:
+                fh.write(json.dumps(header).encode() + b"\n")
+                fh.write(json.dumps(chunk_ids).encode() + b"\n")
+                np.save(fh, self._matrix.astype("<f8", copy=False), allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: Path | str) -> "VectorIndex":
-        """Read a saved index; a malformed line raises ParseError naming it."""
+        """Read a saved index of format 1 or 2.
+
+        A malformed file raises ParseError or IntegrityError naming it, and
+        a header count the file is too small to hold is refused before its
+        rows are allocated.
+        """
         path = Path(path)
-        with path.open(encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             header_line = fh.readline()
             if not header_line.strip():
                 raise InvalidInputError(f"index file {path} is empty")
@@ -166,29 +187,88 @@ class VectorIndex:
                 raise ParseError(
                     f"{path}:1: bad index header: count {count}, dimension {dimension}"
                 )
-            # Each component takes at least two bytes ("0,"), so a count the
-            # file cannot hold is refused before its rows are allocated.
-            if 2 * count * dimension > path.stat().st_size:
+            fmt = header.get("format", 1)
+            if fmt not in (1, FORMAT):
+                raise ParseError(f"{path}:1: unknown index format {fmt!r}")
+            # A format 1 component takes at least two bytes ("0,"), a format 2
+            # one eight.
+            if (2 if fmt == 1 else 8) * count * dimension > path.stat().st_size:
                 raise IntegrityError(f"index file {path}: header count {count} exceeds its size")
-            matrix = np.empty((count, dimension))
-            chunk_ids: list[str] = []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    chunk_id, values = record["chunk_id"], record["vector"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}:{lineno}: bad index entry: {exc!r}") from exc
-                if len(chunk_ids) == count:
-                    raise IntegrityError(f"{path}:{lineno}: entry beyond header count {count}")
-                matrix[len(chunk_ids)] = EmbeddingVector(values, dimension, provider_tag).values
-                chunk_ids.append(chunk_id)
-        if len(chunk_ids) != count:
-            raise IntegrityError(
-                f"index file {path}: header count {count} != {len(chunk_ids)} entries"
-            )
-        return cls._from_rows(chunk_ids, matrix, provider_tag)
+            if fmt == 1:
+                chunk_ids, matrix = _read_json_rows(fh, path, provider_tag, dimension, count)
+            else:
+                chunk_ids, matrix = _read_npy_rows(fh, path, dimension, count)
+        try:
+            return cls._from_rows(chunk_ids, matrix, provider_tag)
+        except (IntegrityError, InvalidInputError) as exc:  # a duplicate id or a bad row
+            raise type(exc)(f"index file {path}: {exc}") from exc
+
+
+def _read_json_rows(fh, path: Path, provider_tag: str, dimension: int,
+                    count: int) -> tuple[list[str], np.ndarray]:
+    """Format 1: one ``{"chunk_id", "vector"}`` JSON line per entry."""
+    matrix = np.empty((count, dimension))
+    chunk_ids: list[str] = []
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            chunk_id, values = record["chunk_id"], record["vector"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad index entry: {exc!r}") from exc
+        if len(chunk_ids) == count:
+            raise IntegrityError(f"{path}:{lineno}: entry beyond header count {count}")
+        matrix[len(chunk_ids)] = EmbeddingVector(values, dimension, provider_tag).values
+        chunk_ids.append(chunk_id)
+    if len(chunk_ids) != count:
+        raise IntegrityError(
+            f"index file {path}: header count {count} != {len(chunk_ids)} entries"
+        )
+    return chunk_ids, matrix
+
+
+def _read_npy_rows(fh, path: Path, dimension: int,
+                   count: int) -> tuple[list[str], np.ndarray]:
+    """Format 2: a JSON list of chunk ids, then the rows as an ``.npy`` payload.
+
+    The payload's header is checked against the index header before the
+    rows are allocated, and the rows are read straight into their array.
+    The finite and unit-norm checks are ``EmbeddingVector``'s, when the
+    index adopts the rows.
+    """
+    try:
+        chunk_ids = json.loads(fh.readline())
+    except ValueError as exc:
+        raise ParseError(f"{path}:2: bad chunk id list: {exc!r}") from exc
+    if not isinstance(chunk_ids, list) or not all(isinstance(c, str) for c in chunk_ids):
+        raise ParseError(f"{path}:2: the chunk ids are not a list of strings")
+    if len(chunk_ids) != count:
+        raise IntegrityError(
+            f"index file {path}: header count {count} != {len(chunk_ids)} chunk ids"
+        )
+    try:
+        # np.save writes version 1.0 for any header as short as a 2-D array's.
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("not an .npy version 1.0 header")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except ValueError as exc:
+        raise ParseError(f"index file {path}: bad .npy payload header: {exc}") from exc
+    if dtype.hasobject:
+        raise ParseError(f"index file {path}: refusing a pickled .npy payload")
+    if dtype.str != "<f8" or fortran_order:
+        raise ParseError(
+            f"index file {path}: payload is {dtype.str} "
+            f"{'Fortran' if fortran_order else 'C'}-ordered, expected <f8 C-ordered"
+        )
+    if shape != (count, dimension):
+        raise IntegrityError(
+            f"index file {path}: payload shape {shape} != header ({count}, {dimension})"
+        )
+    matrix = np.empty((count, dimension), dtype="<f8")
+    if fh.readinto(matrix) != matrix.nbytes or fh.read(1):
+        raise IntegrityError(f"index file {path}: payload is not {matrix.nbytes} bytes long")
+    return chunk_ids, matrix
 
 
 def build_index(manifest: CorpusManifest, provider) -> VectorIndex:

@@ -277,7 +277,8 @@ class BuildStore:
 
         argv names the source ``case.cpp`` and the binary ``case.bin``,
         relative to the key's directory, where the compile runs. The stored
-        binary is None for a failed compile, and cached is True when an
+        binary is None for a failed compile, which includes a compiler that
+        exits 0 without writing ``case.bin``, and cached is True when an
         earlier call made the build. A timed-out compile raises
         CompileTimeoutError and leaves nothing in the store.
         """
@@ -301,7 +302,10 @@ class BuildStore:
                 except subprocess.TimeoutExpired as exc:
                     shutil.rmtree(directory, ignore_errors=True)
                     raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
-                self._results[key] = (proc.returncode == 0, proc.stderr)
+                ok, diagnostics = proc.returncode == 0, proc.stderr
+                if ok and not (directory / "case.bin").is_file():
+                    ok, diagnostics = False, diagnostics + "compiler wrote no binary case.bin\n"
+                self._results[key] = (ok, diagnostics)
             ok, diagnostics = self._results[key]
         return ok, diagnostics, directory / "case.bin" if ok else None, cached
 

@@ -19,10 +19,10 @@ import omprag
 from omprag import validation
 from omprag.config import PipelineConfig
 from omprag.errors import CompileTimeoutError
-from omprag.harvest import FixtureQaApi, harvest_cases
+from omprag.harvest import FixtureQaApi, RejectionReason, harvest_cases
 from omprag.pipeline import validate_case
 from omprag.validation import (
-    _PCH_AFTER_MISSES, Verdict, _leading_includes, classify_failure, compile_gate,
+    _PCH_AFTER_MISSES, CaseSpec, Verdict, _leading_includes, classify_failure, compile_gate,
 )
 
 from conftest import FIXTURES, requires_compiler
@@ -193,6 +193,31 @@ def test_concurrent_same_key_calls_all_succeed(cc, tmp_path):
     for result in results:
         assert result.ok and _run(result.binary) == "RESULT 1\n"
         assert {p.name for p in result.binary.parent.iterdir()} == {"case.cpp", "case.bin"}
+
+
+def test_compiler_that_writes_no_binary_is_a_failed_compile(tmp_path):
+    """A compiler that exits 0 without writing the binary fails the case, in
+    the gate, in the harvest and in validation, and raises nothing."""
+    cmd = "/bin/true {src} {bin}"
+    result = compile_gate("int main(){}", tmp_path / "gate", compile_cmd=cmd)
+    assert not result.ok and result.binary is None
+    assert "compiler wrote no binary case.bin" in result.diagnostics
+    assert not (tmp_path / "gate" / "case.bin").exists()
+    assert compile_gate("int main(){}", tmp_path / "again", compile_cmd=cmd).cached
+
+    cfg = PipelineConfig(compile_cmd=cmd)
+    candidates, specs = harvest_cases(["histogram"], FixtureQaApi(FIXTURES / "harvest"),
+                                      tmp_path / "cases", cfg, max_pages=1)
+    assert candidates and specs == []
+    assert RejectionReason.COMPILE_FAIL in {c.rejection_reason for c in candidates}
+
+    spec = CaseSpec("c1", str(tmp_path / "serial.cc"))
+    case_dir = tmp_path / "run" / "cases" / "c1"
+    case_dir.mkdir(parents=True)
+    (case_dir / "generated.cpp").write_text("int main(){}\n")
+    report = validate_case(spec, cfg, tmp_path / "run")
+    assert not report.compile_ok
+    assert "compiler wrote no binary case.bin" in report.diagnostics
 
 
 @requires_compiler

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +14,19 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omprag.cli import builtin_corpus_dir
+from omprag.corpus import ingest_corpus
 from omprag.embedding import (
     EmbeddingVector,
     HashedTfidfEmbedder,
     RemoteEmbedder,
+    _bucket_and_sign,
     cosine_similarity,
+    tokenize,
 )
 from omprag.errors import InvalidInputError, ProviderError
+
+FIXTURE_CASES = Path(__file__).parent / "fixtures" / "cases"
 
 
 def _vec(values, tag="test"):
@@ -181,6 +193,117 @@ class TestLocalEmbedder:
         query = e.embed("parallel sum with a reduction clause")
         scores = [cosine_similarity(query, e.embed(doc)) for doc in docs]
         assert scores[0] == max(scores)
+
+
+def _reference_bucket_and_sign(token: str, dimension: int) -> tuple[int, float]:
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest[:4], "big") % dimension, 1.0 if digest[4] & 1 else -1.0
+
+
+class _ReferenceEmbedder:
+    """The per-token loops the hashed embedder must reproduce bitwise: one
+    hash per token occurrence and one scalar add per bucket hit."""
+
+    def __init__(self, dimension: int = 512):
+        self.dimension = dimension
+        self.idf = None
+        self.provider_tag = f"local-tfidf-{dimension}"
+
+    def fit(self, docs):
+        df = np.zeros(self.dimension)
+        for doc in docs:
+            for b in {_reference_bucket_and_sign(t, self.dimension)[0] for t in tokenize(doc)}:
+                df[b] += 1.0
+        n = float(len(docs))
+        self.idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+        fingerprint = hashlib.sha256(self.idf.tobytes()).hexdigest()[:8]
+        self.provider_tag = f"local-tfidf-{self.dimension}:{fingerprint}"
+        return self
+
+    def embed_bytes(self, text: str) -> bytes:
+        vec = np.zeros(self.dimension)
+        for token, count in Counter(tokenize(text)).items():
+            bucket, sign = _reference_bucket_and_sign(token, self.dimension)
+            vec[bucket] += sign * count
+        if self.idf is not None:
+            vec = vec * self.idf
+        return (vec / float(np.linalg.norm(vec))).tobytes()
+
+
+def _cancelling_pair(dimension: int) -> tuple[str, str]:
+    """Two tokens that hash to one bucket with opposite signs."""
+    seen: dict[int, tuple[str, float]] = {}
+    for i in range(10_000):
+        token = f"t{i}"
+        bucket, sign = _reference_bucket_and_sign(token, dimension)
+        if bucket in seen and seen[bucket][1] != sign:
+            return seen[bucket][0], token
+        seen.setdefault(bucket, (token, sign))
+    raise AssertionError("no cancelling pair found")
+
+
+def _embedding_texts(dimension: int) -> tuple[list[str], list[str]]:
+    """(corpus to fit on, texts to embed): the bundled corpus, the fixture
+    cases, and texts with repeated and cancelling tokens."""
+    corpus = [chunk.body for chunk in ingest_corpus(builtin_corpus_dir()).chunks]
+    cases = [path.read_text(encoding="utf-8") for path in sorted(FIXTURE_CASES.iterdir())]
+    a, b = _cancelling_pair(dimension)
+    edge = [
+        "sum " * 40 + "reduction",
+        f"{a} {b} {a} keep",  # one bucket cancels to zero, then gains one more a
+        f"{a} {a} {b} {b} {b} other words",
+        "for for for i i j #pragma omp parallel for",
+    ]
+    return corpus, corpus + cases + edge
+
+
+@pytest.mark.parametrize("dimension", [512, 7])
+def test_embeddings_bitwise_equal_the_per_token_loop(dimension):
+    corpus, texts = _embedding_texts(dimension)
+    for fitted in (False, True):
+        ours, ref = HashedTfidfEmbedder(dimension), _ReferenceEmbedder(dimension)
+        if fitted:
+            ours.fit(corpus)
+            ref.fit(corpus)
+        assert ours.provider_tag == ref.provider_tag
+        for text in texts:
+            assert ours.embed(text).values.tobytes() == ref.embed_bytes(text)
+
+
+def test_fully_cancelling_text_is_still_refused():
+    a, b = _cancelling_pair(512)
+    with pytest.raises(InvalidInputError, match="zero vector"):
+        HashedTfidfEmbedder().embed(f"{a} {b}")
+
+
+def test_concurrent_embeds_give_the_same_bytes():
+    corpus, texts = _embedding_texts(512)
+    embedder = HashedTfidfEmbedder().fit(corpus)
+    expected = [embedder.embed(text).values.tobytes() for text in texts]
+    _bucket_and_sign.cache_clear()  # the threads fill the memo while racing
+    results: dict[int, list[bytes]] = {}
+
+    def worker(n: int) -> None:
+        got = [b""] * len(texts)
+        for i in range(len(texts)):  # each thread starts at a different text
+            j = (i + n) % len(texts)
+            got[j] = embedder.embed(texts[j]).values.tobytes()
+        results[n] = got
+
+    threads = [threading.Thread(target=worker, args=(n,))
+               for n in range(4 * len(os.sched_getaffinity(0)))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == len(threads)
+    assert all(got == expected for got in results.values())
 
 
 class TestRemoteEmbedder:

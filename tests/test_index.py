@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from omprag.corpus import CorpusChunk, CorpusManifest
+from omprag.cli import builtin_corpus_dir
+from omprag.corpus import CorpusChunk, CorpusManifest, ingest_corpus
 from omprag.embedding import EmbeddingVector, HashedTfidfEmbedder, cosine_similarity
 from omprag.errors import IntegrityError, InvalidInputError, ParseError, ProviderError
 from omprag.index import IndexEntry, RetrievalHit, VectorIndex, build_index
@@ -23,6 +24,17 @@ def _unit(rng: random.Random, dim: int) -> EmbeddingVector:
 def _index_of(vectors: list[EmbeddingVector]) -> VectorIndex:
     entries = [IndexEntry(f"c{i:03d}", v) for i, v in enumerate(vectors)]
     return VectorIndex(entries, TAG, vectors[0].dimension)
+
+
+def _save_format1(index: VectorIndex, path) -> None:
+    """Write index in format 1, one JSON line per entry, as older versions saved it."""
+    header = {"provider_tag": index.provider_tag, "dimension": index.dimension,
+              "count": len(index)}
+    lines = [json.dumps(header)] + [
+        json.dumps({"chunk_id": e.chunk_id, "vector": e.vector.values.tolist()})
+        for e in index.entries
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def brute_force_topk(
@@ -161,7 +173,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
 def test_load_rejects_non_numeric_components(tmp_path):
     rng = random.Random(17)
     path = tmp_path / "index.jsonl"
-    _index_of([_unit(rng, 2) for _ in range(2)]).save(path)
+    _save_format1(_index_of([_unit(rng, 2) for _ in range(2)]), path)
     lines = path.read_text().splitlines()
     lines[2] = '{"chunk_id": "c001", "vector": ["a", "b"]}'
     path.write_text("\n".join(lines) + "\n")
@@ -188,7 +200,7 @@ def test_load_detects_truncated_file(tmp_path):
     rng = random.Random(15)
     index = _index_of([_unit(rng, 4) for _ in range(3)])
     path = tmp_path / "index.jsonl"
-    index.save(path)
+    _save_format1(index, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(IntegrityError):
@@ -203,7 +215,7 @@ def test_load_detects_truncated_file(tmp_path):
 def test_malformed_entry_is_parse_error_naming_the_line(tmp_path, bad_line):
     rng = random.Random(19)
     path = tmp_path / "index.jsonl"
-    _index_of([_unit(rng, 2) for _ in range(3)]).save(path)
+    _save_format1(_index_of([_unit(rng, 2) for _ in range(3)]), path)
     lines = path.read_text().splitlines()
     lines[2] = bad_line
     path.write_text("\n".join(lines) + "\n")
@@ -214,7 +226,7 @@ def test_malformed_entry_is_parse_error_naming_the_line(tmp_path, bad_line):
 def test_malformed_header_is_parse_error(tmp_path):
     rng = random.Random(23)
     path = tmp_path / "index.jsonl"
-    _index_of([_unit(rng, 2)]).save(path)
+    _save_format1(_index_of([_unit(rng, 2)]), path)
     lines = path.read_text().splitlines()
     lines[0] = '{"provider_tag": "test-space", "dimension": 2'
     path.write_text("\n".join(lines) + "\n")
@@ -307,9 +319,137 @@ def test_empty_index_returns_no_hits(tmp_path):
 def test_load_refuses_a_wrong_header_count(tmp_path, count):
     rng = random.Random(31)
     path = tmp_path / "index.jsonl"
-    _index_of([_unit(rng, 4) for _ in range(3)]).save(path)
+    _save_format1(_index_of([_unit(rng, 4) for _ in range(3)]), path)
     lines = path.read_text().splitlines()
     lines[0] = json.dumps({**json.loads(lines[0]), "count": count})
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises((IntegrityError, ParseError), match=re.escape(str(path))):
         VectorIndex.load(path)
+
+
+def _write_format2(path, count: int, chunk_ids, payload: np.ndarray, **save_kwargs) -> None:
+    """A format 2 file with the given header count, id list and payload."""
+    header = {"format": 2, "provider_tag": TAG, "dimension": 4, "count": count}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        fh.write(json.dumps(chunk_ids).encode() + b"\n")
+        np.save(fh, payload, **save_kwargs)
+
+
+def test_saved_index_gives_the_built_hits(tmp_path):
+    manifest = ingest_corpus(builtin_corpus_dir())
+    embedder = HashedTfidfEmbedder().fit(chunk.body for chunk in manifest.chunks)
+    built = build_index(manifest, embedder)
+    path = tmp_path / "index.idx"
+    built.save(path)
+    assert path.read_bytes().startswith(b'{"format": 2, ')
+    loaded = VectorIndex.load(path)
+    assert loaded._matrix.tobytes() == built._matrix.tobytes()
+    for chunk in manifest.chunks:
+        query = embedder.embed(chunk.body)
+        for k in (1, 4, 10):
+            assert loaded.query_topk(query, k) == built.query_topk(query, k)
+
+
+def test_format1_file_loads_and_resaves_as_format2(tmp_path):
+    rng = random.Random(43)
+    built = _index_of([_unit(rng, 8) for _ in range(12)])
+    old, new, fresh = tmp_path / "old.jsonl", tmp_path / "new.idx", tmp_path / "fresh.idx"
+    _save_format1(built, old)
+    VectorIndex.load(old).save(new)
+    built.save(fresh)
+    assert new.read_bytes() == fresh.read_bytes()
+    query = _unit(rng, 8)
+    for path in (old, new):
+        assert VectorIndex.load(path).query_topk(query, 5) == built.query_topk(query, 5)
+
+
+_ROWS = np.full((3, 4), 0.5)
+
+
+@pytest.mark.parametrize("count, chunk_ids, payload, save_kwargs, error, reason", [
+    (10**12, ["a", "b", "c"], _ROWS, {}, IntegrityError, "exceeds its size"),
+    (3, ["a", "b", "c"], _ROWS.astype("<f4"), {}, ParseError, "expected <f8"),
+    (3, ["a", "b", "c"], _ROWS.astype(">f8"), {}, ParseError, "expected <f8"),
+    (3, ["a", "b", "c"], np.asfortranarray(np.full((4, 3), 0.5).T), {}, ParseError,
+     "Fortran"),
+    (3, ["a", "b", "c"], np.full((2, 4), 0.5), {}, IntegrityError, r"shape \(2, 4\)"),
+    (3, ["a", "b", "c"], np.full((4, 4), 0.5), {}, IntegrityError, r"shape \(4, 4\)"),
+    (3, ["a", "b"], _ROWS, {}, IntegrityError, "2 chunk ids"),
+    (3, ["a", "b", 3], _ROWS, {}, ParseError, "list of strings"),
+    (3, ["a", "b", "c"], _ROWS.astype(object), {"allow_pickle": True}, ParseError, "pickled"),
+])
+def test_format2_refusals_name_the_file(tmp_path, count, chunk_ids, payload, save_kwargs,
+                                        error, reason):
+    path = tmp_path / "index.idx"
+    _write_format2(path, count, chunk_ids, payload, **save_kwargs)
+    with pytest.raises(error, match=f"{re.escape(str(path))}.*{reason}"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("cut, tail", [(8, b""), (0, b"\0" * 8)])
+def test_format2_payload_of_the_wrong_length_is_refused(tmp_path, cut, tail):
+    path = tmp_path / "index.idx"
+    _write_format2(path, 3, ["a", "b", "c"], _ROWS)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut] + tail)
+    with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}.*not 96 bytes"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("line, replace, reason", [
+    (1, b'["a", "b", "c"', ":2: bad chunk id list"),
+    (2, b"\x93NUMPY\x03\x00", ": bad .npy payload header"),
+    (2, b"[[0.5, 0.5, 0.5, 0.5]]", ": bad .npy payload header"),
+])
+def test_format2_malformed_parts_are_parse_errors(tmp_path, line, replace, reason):
+    path = tmp_path / "index.idx"
+    _write_format2(path, 3, ["a", "b", "c"], _ROWS)
+    parts = path.read_bytes().split(b"\n", 2)
+    parts[line] = replace
+    path.write_bytes(b"\n".join(parts) + b"\0" * 96)
+    with pytest.raises(ParseError, match=re.escape(f"{path}{reason}")):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("line", [
+    '{"format": 3, "provider_tag": "test-space", "dimension": 4, "count": 3}',
+    '{"format": "2", "provider_tag": "test-space", "dimension": 4, "count": 3}',
+])
+def test_unknown_format_is_parse_error(tmp_path, line):
+    path = tmp_path / "index.idx"
+    _write_format2(path, 3, ["a", "b", "c"], _ROWS)
+    rest = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(line.encode() + b"\n" + rest)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: unknown index format")):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("chunk_ids, payload, error, reason", [
+    (["a", "b", "c"], np.full((3, 4), 0.6), InvalidInputError, "not unit-normalized"),
+    (["a", "b", "c"], np.where(np.arange(12).reshape(3, 4) == 5, np.nan, 0.5),
+     InvalidInputError, "non-finite"),
+    (["a", "b", "a"], _ROWS, IntegrityError, "duplicate chunk_id 'a'"),
+])
+def test_format2_rows_keep_the_index_checks(tmp_path, chunk_ids, payload, error, reason):
+    path = tmp_path / "index.idx"
+    _write_format2(path, 3, chunk_ids, payload)
+    with pytest.raises(error, match=f"{re.escape(str(path))}: .*{reason}"):
+        VectorIndex.load(path)
+
+
+def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    rng = random.Random(47)
+    path = tmp_path / "index.idx"
+    _index_of([_unit(rng, 4) for _ in range(3)]).save(path)
+    before = path.read_bytes()
+
+    def failing_save(fh, array, **kwargs):
+        fh.write(b"\x93NUMPY half a payload")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="no space left"):
+        _index_of([_unit(rng, 4) for _ in range(5)]).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
