@@ -113,6 +113,7 @@ class CorpusManifest:
     def load(cls, path: Path | str) -> "CorpusManifest":
         path = Path(path)
         manifest = cls(chunks=[])
+        first = True
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -124,7 +125,10 @@ class CorpusManifest:
                     raise ParseError(f"{path}:{lineno}: not JSON: {exc}") from exc
                 if not isinstance(record, dict):
                     raise ParseError(f"{path}:{lineno}: not a JSON object")
-                if "chunk_id" not in record:
+                # Only the first record may be the header; any later one is a chunk.
+                is_header = first and "chunk_id" not in record
+                first = False
+                if is_header:
                     manifest.corpus_version = str(record.get("corpus_version", "1"))
                     manifest.created_at = str(record.get("created_at", ""))
                     continue

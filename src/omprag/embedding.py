@@ -50,7 +50,6 @@ class EmbeddingVector:
     """A unit vector: ``values`` is a read-only 1-D float64 array."""
 
     values: np.ndarray
-    dimension: int
     provider_tag: str
 
     def __post_init__(self):
@@ -65,8 +64,8 @@ class EmbeddingVector:
         if values.dtype.kind not in "iuf":  # strings, None, bools and objects
             raise InvalidInputError(f"vector components are not numbers ({values.dtype})")
         values = values.astype(np.float64, copy=False)
-        if values.shape != (self.dimension,):
-            raise InvalidInputError(f"vector shape {values.shape} != ({self.dimension},)")
+        if values.ndim != 1:
+            raise InvalidInputError(f"vector shape {values.shape} is not 1-D")
         if not np.isfinite(values).all():
             raise InvalidInputError("vector has non-finite components")
         norm = float(np.linalg.norm(values))
@@ -74,6 +73,10 @@ class EmbeddingVector:
             raise InvalidInputError(f"vector is not unit-normalized (L2 norm {norm})")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.values)
 
     @classmethod
     def from_raw(cls, values, provider_tag: str) -> "EmbeddingVector":
@@ -84,7 +87,7 @@ class EmbeddingVector:
         norm = math.hypot(*vals)  # squares of tiny components would underflow to 0
         if norm == 0.0:
             raise InvalidInputError("cannot normalize the all-zero vector")
-        return cls(np.array(vals) / norm, len(vals), provider_tag)
+        return cls(np.array(vals) / norm, provider_tag)
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -166,7 +169,7 @@ class HashedTfidfEmbedder:
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise InvalidInputError("text hashed to the zero vector (sign cancellation)")
-        return EmbeddingVector(vec / norm, self.dimension, self._tag)
+        return EmbeddingVector(vec / norm, self._tag)
 
 
 class RemoteEmbedder:
@@ -186,7 +189,6 @@ class RemoteEmbedder:
         timeout: float = 30.0,
         attempts: int = 3,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -196,7 +198,7 @@ class RemoteEmbedder:
         self.backoff_base = backoff_base
         import requests  # deferred, so a process that makes no HTTP call never loads it
 
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._slots = threading.Semaphore(MAX_IN_FLIGHT)
         self._lock = threading.Lock()
         self._dimension: int | None = None

@@ -14,13 +14,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, ProviderError, ReplayMissError
 from .retry import MAX_IN_FLIGHT, post_with_retry
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +113,6 @@ class ChatHttpProvider:
         *,
         attempts: int = 3,
         backoff_base: float = 1.0,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
@@ -125,7 +120,7 @@ class ChatHttpProvider:
         self.backoff_base = backoff_base
         import requests  # deferred, so a process that makes no HTTP call never loads it
 
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._slots = threading.Semaphore(MAX_IN_FLIGHT)
 
     @property

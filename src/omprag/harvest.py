@@ -16,14 +16,10 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .config import PipelineConfig
 from .errors import CompileTimeoutError, FetchError, InvalidInputError, ReplayMissError
 from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -123,14 +119,13 @@ class HttpQaApi:
         api_key: str | None = None,
         *,
         keywords: dict[str, str] | None = None,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
         self.keywords = keywords or {}
         import requests  # deferred, so a process that makes no HTTP call never loads it
 
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def fetch_page(self, category: str, page: int) -> dict:
         params = {

@@ -12,8 +12,7 @@ bitwise those of scoring every entry with ``cosine_similarity``.
 ``save`` writes format 2: a JSON header line (format, provider_tag,
 dimension, count), a JSON line listing the chunk ids in row order, then
 the (count, dimension) little-endian float64 array as an ``.npy`` payload.
-``load`` also reads format 1, whose header has no ``format`` key and is
-followed by one ``{"chunk_id", "vector"}`` JSON line per entry.
+``load`` reads only that format.
 """
 
 from __future__ import annotations
@@ -55,15 +54,15 @@ class RetrievalHit:
     rank: int
 
 
-def _check_vector(chunk_id: str, vector: EmbeddingVector, provider_tag: str, dimension: int):
+def _check_vector(what: str, vector: EmbeddingVector, provider_tag: str, dimension: int):
+    """Refuse a vector from another space; ``what`` names it ("query", "entry 'c001'")."""
     if vector.provider_tag != provider_tag:
         raise InvalidInputError(
-            f"entry {chunk_id!r} has provider_tag "
-            f"{vector.provider_tag!r}, index expects {provider_tag!r}"
+            f"{what} has provider_tag {vector.provider_tag!r}, index expects {provider_tag!r}"
         )
     if vector.dimension != dimension:
         raise InvalidInputError(
-            f"entry {chunk_id!r} has dimension {vector.dimension}, index expects {dimension}"
+            f"{what} has dimension {vector.dimension}, index expects {dimension}"
         )
 
 
@@ -72,7 +71,7 @@ class VectorIndex:
 
     def __init__(self, entries: list[IndexEntry], provider_tag: str, dimension: int):
         for entry in entries:
-            _check_vector(entry.chunk_id, entry.vector, provider_tag, dimension)
+            _check_vector(f"entry {entry.chunk_id!r}", entry.vector, provider_tag, dimension)
         matrix = np.empty((len(entries), dimension))
         for row, entry in zip(matrix, entries):
             row[:] = entry.vector.values
@@ -97,7 +96,7 @@ class VectorIndex:
         self.provider_tag = provider_tag
         self.dimension = matrix.shape[1]
         self.entries = [
-            IndexEntry(chunk_id, EmbeddingVector(row, self.dimension, provider_tag))
+            IndexEntry(chunk_id, EmbeddingVector(row, provider_tag))
             for chunk_id, row in zip(chunk_ids, matrix)
         ]
 
@@ -108,15 +107,7 @@ class VectorIndex:
         """Exact top-k by cosine score, ties broken by ascending chunk_id."""
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        if query_vector.provider_tag != self.provider_tag:
-            raise InvalidInputError(
-                f"query provider_tag {query_vector.provider_tag!r} does not match "
-                f"index provider_tag {self.provider_tag!r}"
-            )
-        if query_vector.dimension != self.dimension:
-            raise InvalidInputError(
-                f"query dimension {query_vector.dimension} != index dimension {self.dimension}"
-            )
+        _check_vector("query", query_vector, self.provider_tag, self.dimension)
         # einsum is NumPy's own loop: a BLAS product here would wake helper
         # threads that spin beside the pipeline's workers.
         scores = np.einsum("ij,j->i", self._matrix, query_vector.values)
@@ -165,7 +156,7 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: Path | str) -> "VectorIndex":
-        """Read a saved index of format 1 or 2.
+        """Read an index written by ``save``.
 
         A malformed file raises ParseError or IntegrityError naming it, and
         a header count the file is too small to hold is refused before its
@@ -178,54 +169,29 @@ class VectorIndex:
                 raise InvalidInputError(f"index file {path} is empty")
             try:
                 header = json.loads(header_line)
+                fmt = header.get("format")
                 provider_tag = header["provider_tag"]
                 dimension = int(header["dimension"])
                 count = int(header["count"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:1: bad index header: {exc!r}") from exc
+            if fmt is None:
+                raise ParseError(
+                    f"{path}:1: an index in an older format; re-run `omprag index` to rebuild it"
+                )
+            if fmt != FORMAT:
+                raise ParseError(f"{path}:1: unknown index format {fmt!r}")
             if count < 0 or dimension < 1:
                 raise ParseError(
                     f"{path}:1: bad index header: count {count}, dimension {dimension}"
                 )
-            fmt = header.get("format", 1)
-            if fmt not in (1, FORMAT):
-                raise ParseError(f"{path}:1: unknown index format {fmt!r}")
-            # A format 1 component takes at least two bytes ("0,"), a format 2
-            # one eight.
-            if (2 if fmt == 1 else 8) * count * dimension > path.stat().st_size:
+            if 8 * count * dimension > path.stat().st_size:
                 raise IntegrityError(f"index file {path}: header count {count} exceeds its size")
-            if fmt == 1:
-                chunk_ids, matrix = _read_json_rows(fh, path, provider_tag, dimension, count)
-            else:
-                chunk_ids, matrix = _read_npy_rows(fh, path, dimension, count)
+            chunk_ids, matrix = _read_npy_rows(fh, path, dimension, count)
         try:
             return cls._from_rows(chunk_ids, matrix, provider_tag)
         except (IntegrityError, InvalidInputError) as exc:  # a duplicate id or a bad row
             raise type(exc)(f"index file {path}: {exc}") from exc
-
-
-def _read_json_rows(fh, path: Path, provider_tag: str, dimension: int,
-                    count: int) -> tuple[list[str], np.ndarray]:
-    """Format 1: one ``{"chunk_id", "vector"}`` JSON line per entry."""
-    matrix = np.empty((count, dimension))
-    chunk_ids: list[str] = []
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            chunk_id, values = record["chunk_id"], record["vector"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad index entry: {exc!r}") from exc
-        if len(chunk_ids) == count:
-            raise IntegrityError(f"{path}:{lineno}: entry beyond header count {count}")
-        matrix[len(chunk_ids)] = EmbeddingVector(values, dimension, provider_tag).values
-        chunk_ids.append(chunk_id)
-    if len(chunk_ids) != count:
-        raise IntegrityError(
-            f"index file {path}: header count {count} != {len(chunk_ids)} entries"
-        )
-    return chunk_ids, matrix
 
 
 def _read_npy_rows(fh, path: Path, dimension: int,
@@ -290,7 +256,7 @@ def build_index(manifest: CorpusManifest, provider) -> VectorIndex:
             ) from exc
         if matrix is None:
             matrix = np.empty((len(manifest.chunks), vector.dimension))
-        _check_vector(chunk.chunk_id, vector, provider.provider_tag, matrix.shape[1])
+        _check_vector(f"entry {chunk.chunk_id!r}", vector, provider.provider_tag, matrix.shape[1])
         matrix[row] = vector.values
     chunk_ids = [chunk.chunk_id for chunk in manifest.chunks]
     index = VectorIndex._from_rows(chunk_ids, matrix, provider.provider_tag)

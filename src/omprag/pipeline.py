@@ -96,6 +96,10 @@ def transform_case(case: CaseSpec, cfg: PipelineConfig, deps: PipelineDeps, out_
     """Retrieve + prompt + generate + extract for one case; artifacts only."""
     case_dir = _case_dir(out_dir, case.case_id)
     case_dir.mkdir(parents=True, exist_ok=True)
+    # validate_case judges whichever outcome files exist, so an earlier run's
+    # must not outlive this one.
+    for name in ("transform_error.txt", "reply.txt", "generated.cpp"):
+        (case_dir / name).unlink(missing_ok=True)
     source = Path(case.serial_path).read_text(encoding="utf-8")
 
     hits = []

@@ -553,6 +553,7 @@ def _run_binary(
     try:
         proc = subprocess.run(
             [str(binary), *input_args],
+            stdin=subprocess.DEVNULL,
             capture_output=True,
             text=True,
             timeout=timeout,

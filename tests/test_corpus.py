@@ -215,6 +215,23 @@ def test_load_names_a_malformed_line(tmp_path, bad_line):
         CorpusManifest.load(path)
 
 
+def test_a_chunk_without_chunk_id_is_refused_not_taken_as_the_header(tmp_path):
+    import json
+
+    from omprag.cli import builtin_corpus_dir
+
+    path = tmp_path / "manifest.jsonl"
+    ingest_corpus(builtin_corpus_dir()).save(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[4])
+    del record["chunk_id"]
+    lines[4] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match=f"^{re.escape(str(path))}:5: .*missing fields: \\['chunk_id'\\]"):
+        CorpusManifest.load(path)
+
+
 def test_cli_index_of_a_bad_manifest_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text(_HEADER_LINE + "not json\n")

@@ -51,15 +51,22 @@ class TestEmbeddingVector:
         with pytest.raises(InvalidInputError):
             _vec([1.0, float("nan")])
         with pytest.raises(InvalidInputError):
-            EmbeddingVector((float("inf"), 0.0), 2, "t")
+            EmbeddingVector((float("inf"), 0.0), "t")
 
     def test_length_must_match_dimension(self):
-        with pytest.raises(InvalidInputError):
-            EmbeddingVector((1.0, 0.0), 3, "t")
+        v = EmbeddingVector((1.0, 0.0, 0.0), "t")
+        assert v.dimension == len(v.values) == 3
+        with pytest.raises(AttributeError):  # derived from the values, never set
+            v.dimension = 2
+
+    @pytest.mark.parametrize("values", [[[0.6, 0.8]], [[0.6], [0.8]], 1.0])
+    def test_values_must_be_one_dimensional(self, values):
+        with pytest.raises(InvalidInputError, match="not 1-D"):
+            EmbeddingVector(values, "t")
 
     def test_unnormalized_construction_rejected(self):
         with pytest.raises(InvalidInputError):
-            EmbeddingVector((3.0, 4.0), 2, "t")
+            EmbeddingVector((3.0, 4.0), "t")
 
     def test_normalizing_is_idempotent(self):
         v = _vec([1.0, 2.0, 2.0])
@@ -78,7 +85,7 @@ class TestEmbeddingVector:
 
     def test_caller_array_is_copied(self):
         source = np.array([0.6, 0.8])
-        v = EmbeddingVector(source, 2, "t")
+        v = EmbeddingVector(source, "t")
         source[0] = 0.8
         source[1] = 0.6
         assert tuple(v.values) == (0.6, 0.8)
@@ -88,16 +95,16 @@ class TestEmbeddingVector:
         owner = np.array([[0.6, 0.8], [0.8, 0.6]])
         view = owner[0]
         view.flags.writeable = False  # the view is read-only, its owner is not
-        assert not np.shares_memory(EmbeddingVector(view, 2, "t").values, owner)
+        assert not np.shares_memory(EmbeddingVector(view, "t").values, owner)
         owner.flags.writeable = False
-        assert np.shares_memory(EmbeddingVector(owner[1], 2, "t").values, owner)
+        assert np.shares_memory(EmbeddingVector(owner[1], "t").values, owner)
 
     @pytest.mark.parametrize(
         "values", [["x", 1.0], [None, 1.0], ["0.6", "0.8"], [[0.6, 0.8]], [[1.0], [0.0, 1.0]]]
     )
     def test_non_numeric_or_nested_components_rejected(self, values):
         with pytest.raises(InvalidInputError):
-            EmbeddingVector(values, 2, "t")
+            EmbeddingVector(values, "t")
 
 
 class TestCosineSimilarity:

@@ -26,17 +26,6 @@ def _index_of(vectors: list[EmbeddingVector]) -> VectorIndex:
     return VectorIndex(entries, TAG, vectors[0].dimension)
 
 
-def _save_format1(index: VectorIndex, path) -> None:
-    """Write index in format 1, one JSON line per entry, as older versions saved it."""
-    header = {"provider_tag": index.provider_tag, "dimension": index.dimension,
-              "count": len(index)}
-    lines = [json.dumps(header)] + [
-        json.dumps({"chunk_id": e.chunk_id, "vector": e.vector.values.tolist()})
-        for e in index.entries
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def brute_force_topk(
     entries: list[IndexEntry], query: EmbeddingVector, k: int
 ) -> list[tuple[str, float]]:
@@ -170,23 +159,23 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_load_rejects_non_numeric_components(tmp_path):
-    rng = random.Random(17)
-    path = tmp_path / "index.jsonl"
-    _save_format1(_index_of([_unit(rng, 2) for _ in range(2)]), path)
-    lines = path.read_text().splitlines()
-    lines[2] = '{"chunk_id": "c001", "vector": ["a", "b"]}'
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidInputError):
-        VectorIndex.load(path)
-
-
 def test_provider_tag_mismatch_on_query():
     rng = random.Random(13)
     index = _index_of([_unit(rng, 8) for _ in range(3)])
     other = EmbeddingVector.from_raw([1.0] * 8, "other-space")
     with pytest.raises(InvalidInputError):
         index.query_topk(other, 1)
+
+
+@pytest.mark.parametrize("query, reason", [
+    (EmbeddingVector.from_raw([1.0] * 4, TAG), "query has dimension 4, index expects 8"),
+    (EmbeddingVector.from_raw([1.0] * 8, "other-space"), "query has provider_tag 'other-space'"),
+])
+def test_a_query_from_another_space_is_refused(query, reason):
+    rng = random.Random(13)
+    for index in (_index_of([_unit(rng, 8) for _ in range(3)]), VectorIndex([], TAG, 8)):
+        with pytest.raises(InvalidInputError, match=re.escape(reason)):
+            index.query_topk(query, 1)
 
 
 def test_k_must_be_positive():
@@ -196,41 +185,35 @@ def test_k_must_be_positive():
         index.query_topk(_unit(rng, 4), 0)
 
 
-def test_load_detects_truncated_file(tmp_path):
-    rng = random.Random(15)
-    index = _index_of([_unit(rng, 4) for _ in range(3)])
-    path = tmp_path / "index.jsonl"
-    _save_format1(index, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(IntegrityError):
-        VectorIndex.load(path)
-
-
-@pytest.mark.parametrize("bad_line", [
-    '{"chunk_id": "c001", "vector": [0.6',  # a line cut short
-    '{"vector": [0.6, 0.8]}',  # no chunk_id
-    '["c001", [0.6, 0.8]]',  # not an object
-])
-def test_malformed_entry_is_parse_error_naming_the_line(tmp_path, bad_line):
-    rng = random.Random(19)
-    path = tmp_path / "index.jsonl"
-    _save_format1(_index_of([_unit(rng, 2) for _ in range(3)]), path)
-    lines = path.read_text().splitlines()
-    lines[2] = bad_line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}:3: bad index entry")):
-        VectorIndex.load(path)
+def _replace_header(path, **fields) -> None:
+    """Rewrite the header line of a saved index with ``fields`` changed."""
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), **fields}).encode() + b"\n" + rest)
 
 
 def test_malformed_header_is_parse_error(tmp_path):
     rng = random.Random(23)
-    path = tmp_path / "index.jsonl"
-    _save_format1(_index_of([_unit(rng, 2)]), path)
-    lines = path.read_text().splitlines()
-    lines[0] = '{"provider_tag": "test-space", "dimension": 2'
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "index.idx"
+    _index_of([_unit(rng, 2)]).save(path)
+    rest = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b'{"format": 2, "provider_tag": "test-space", "dimension": 2\n' + rest)
     with pytest.raises(ParseError, match=re.escape(f"{path}:1: bad index header")):
+        VectorIndex.load(path)
+
+
+def test_an_older_format_is_refused_naming_the_rebuild(tmp_path):
+    rng = random.Random(41)
+    index = _index_of([_unit(rng, 2) for _ in range(2)])
+    path = tmp_path / "index.jsonl"
+    # The one-JSON-line-per-entry layout that earlier versions saved.
+    header = {"provider_tag": TAG, "dimension": 2, "count": 2}
+    lines = [json.dumps(header)] + [
+        json.dumps({"chunk_id": e.chunk_id, "vector": e.vector.values.tolist()})
+        for e in index.entries
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError,
+                       match=re.escape(f"{path}:1: ") + ".*older format.*`omprag index`"):
         VectorIndex.load(path)
 
 
@@ -246,7 +229,7 @@ def _per_entry_topk(entries: list[IndexEntry], query: EmbeddingVector, k: int):
 def _ulp_apart(vector: EmbeddingVector, component: int) -> EmbeddingVector:
     values = vector.values.copy()
     values[component] = np.nextafter(values[component], np.inf)
-    return EmbeddingVector(values, vector.dimension, vector.provider_tag)
+    return EmbeddingVector(values, vector.provider_tag)
 
 
 def _near_tie_corpus(seed: int):
@@ -315,15 +298,24 @@ def test_empty_index_returns_no_hits(tmp_path):
     assert VectorIndex.load(path).query_topk(query, 4) == []
 
 
-@pytest.mark.parametrize("count", [2, 4, 0, -1, 10**12])
+# Each wrong count of a three-entry file, and the refusal it must meet.
+_COUNT_REFUSALS = {
+    2: (IntegrityError, "header count 2 != 3 chunk ids"),
+    4: (IntegrityError, "header count 4 != 3 chunk ids"),
+    0: (IntegrityError, "header count 0 != 3 chunk ids"),
+    -1: (ParseError, ":1: bad index header: count -1"),
+    10**12: (IntegrityError, f"header count {10**12} exceeds its size"),
+}
+
+
+@pytest.mark.parametrize("count", list(_COUNT_REFUSALS))
 def test_load_refuses_a_wrong_header_count(tmp_path, count):
+    error, reason = _COUNT_REFUSALS[count]
     rng = random.Random(31)
-    path = tmp_path / "index.jsonl"
-    _save_format1(_index_of([_unit(rng, 4) for _ in range(3)]), path)
-    lines = path.read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "count": count})
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises((IntegrityError, ParseError), match=re.escape(str(path))):
+    path = tmp_path / "index.idx"
+    _index_of([_unit(rng, 4) for _ in range(3)]).save(path)
+    _replace_header(path, count=count)
+    with pytest.raises(error, match=re.escape(str(path)) + ".*" + re.escape(reason)):
         VectorIndex.load(path)
 
 
@@ -349,19 +341,6 @@ def test_saved_index_gives_the_built_hits(tmp_path):
         query = embedder.embed(chunk.body)
         for k in (1, 4, 10):
             assert loaded.query_topk(query, k) == built.query_topk(query, k)
-
-
-def test_format1_file_loads_and_resaves_as_format2(tmp_path):
-    rng = random.Random(43)
-    built = _index_of([_unit(rng, 8) for _ in range(12)])
-    old, new, fresh = tmp_path / "old.jsonl", tmp_path / "new.idx", tmp_path / "fresh.idx"
-    _save_format1(built, old)
-    VectorIndex.load(old).save(new)
-    built.save(fresh)
-    assert new.read_bytes() == fresh.read_bytes()
-    query = _unit(rng, 8)
-    for path in (old, new):
-        assert VectorIndex.load(path).query_topk(query, 5) == built.query_topk(query, 5)
 
 
 _ROWS = np.full((3, 4), 0.5)

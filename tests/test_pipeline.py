@@ -218,6 +218,31 @@ class TestRunPipeline:
         assert reports[0].failure_category is FailureCategory.DEFAULT_NONE_VIOLATION
         assert summary.fixable_failures == 1
 
+    def test_a_rerun_is_judged_on_its_own_reply(self, mini_env, tmp_path, no_network):
+        """Rerunning into one out_dir leaves no earlier outcome file behind."""
+        from omprag.generation import write_record
+        from omprag.prompt import build_prompt
+
+        case = mini_env.cases[0]
+        source = Path(case.serial_path).read_text()
+        hits = mini_env.index.query_topk(mini_env.embedder.embed(source), 4)
+        bundle = build_prompt(source, hits, mini_env.manifest, mini_env.template)
+        recorded = mini_env.replay_dirs["rag"]
+        unrecorded, prose = tmp_path / "none", tmp_path / "prose"
+        unrecorded.mkdir()
+        write_record(prose, case.case_id, bundle.rendered, "No code block this time.")
+        expected = {unrecorded: "generation failed: no recorded reply",
+                    recorded: Verdict.PASS,
+                    prose: "model reply contained no code block"}
+        deps = _deps(mini_env, "rag")
+        for replay in (unrecorded, recorded, prose, recorded, unrecorded):
+            deps.provider = ReplayProvider(replay)
+            (only,), _ = run_pipeline([case], load_config(), deps, tmp_path / "o")
+            if expected[replay] is Verdict.PASS:
+                assert only.differential_verdict is Verdict.PASS, only.diagnostics
+            else:
+                assert only.diagnostics.startswith(expected[replay]), replay
+
 
 # Stands in for g++: sleeps past the timeout on a source marked SLOW, and
 # otherwise writes a binary that prints one fixed line.

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +26,8 @@ from omprag.validation import (
 )
 
 from conftest import FIXTURES, requires_compiler
+
+import omprag
 
 OK_OMP_SOURCE = """\
 #include <vector>
@@ -282,3 +289,24 @@ class TestPersistence:
         )
         with pytest.raises(ParseError):
             load_case_manifest(path)
+
+
+def test_a_case_binary_never_reads_the_callers_stdin(tmp_path):
+    """Under a parent whose stdin is an open pipe, a reading binary sees EOF."""
+    script = tmp_path / "reads_stdin.sh"
+    script.write_text('#!/bin/sh\nif read line; then echo "read $line"; else echo eof; fi\n')
+    script.chmod(0o755)
+    probe = ("from omprag.validation import _run_binary\n"
+             f"print(_run_binary({str(script)!r}, [], timeout=5.0))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(omprag.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    # stdin stays open and unwritten until the child has answered.
+    child = subprocess.Popen([sys.executable, "-c", probe], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        out = child.stdout.read()
+    finally:
+        child.stdin.close()
+        child.wait(timeout=60)
+    assert out == "(0, 'eof\\n', '')\n"
