@@ -118,11 +118,11 @@ def run_sweep(
     if not thread_counts:
         raise InvalidInputError("thread_counts must be non-empty")
     input_args = list(input_args or [])
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0))  # the cores this process may run on
     oversubscribed = max(thread_counts) > cores
     if oversubscribed:
         log.warning(
-            "host has %d logical cores but the sweep requests up to %d threads; "
+            "process may use %d cores but the sweep requests up to %d threads; "
             "records are tagged oversubscribed", cores, max(thread_counts),
         )
     records: list[BenchRecord] = []

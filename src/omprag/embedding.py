@@ -17,15 +17,11 @@ import re
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError, ProviderError
-from .retry import MAX_IN_FLIGHT, post_with_retry
-
-if TYPE_CHECKING:
-    import requests
+from .retry import HttpClient
 
 log = logging.getLogger(__name__)
 
@@ -190,16 +186,9 @@ class RemoteEmbedder:
         attempts: int = 3,
         backoff_base: float = 0.5,
     ):
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.attempts = attempts
-        self.backoff_base = backoff_base
-        import requests  # deferred, so a process that makes no HTTP call never loads it
-
-        self._session = requests.Session()
-        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
+        self.client = HttpClient(endpoint, api_key, timeout=timeout, attempts=attempts,
+                                 backoff_base=backoff_base, name="embedding")
         self._lock = threading.Lock()
         self._dimension: int | None = None
 
@@ -214,23 +203,10 @@ class RemoteEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         if not text or not text.strip():
             raise InvalidInputError("cannot embed empty text")
-        response = post_with_retry(
-            self._session,
-            self._slots,
-            self.endpoint,
-            {"model": self.model, "input": [text]},
-            api_key=self.api_key,
-            timeout=self.timeout,
-            attempts=self.attempts,
-            backoff_base=self.backoff_base,
-            what="embedding",
-        )
-        return self._parse(response)
-
-    def _parse(self, response: requests.Response) -> EmbeddingVector:
+        reply = self.client.post_json({"model": self.model, "input": [text]})
         try:
-            raw = response.json()["data"][0]["embedding"]
-        except (KeyError, IndexError, ValueError) as exc:
+            raw = reply["data"][0]["embedding"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}") from exc
         with self._lock:
             if self._dimension is None:

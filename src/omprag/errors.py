@@ -38,14 +38,6 @@ class ReplayMissError(OmpragError):
         self.case_id = case_id
 
 
-class FetchError(OmpragError):
-    """The Q&A API could not be fetched (quota, transport, bad page)."""
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
-
-
 class EnvironmentFailure(OmpragError):
     """The host is missing something a run needs; aborts the whole run."""
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidInputError, ProviderError, ReplayMissError
-from .retry import MAX_IN_FLIGHT, post_with_retry
+from .retry import HttpClient
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +102,7 @@ class ChatHttpProvider:
     """Chat-completions wire format over HTTP.
 
     The whole rendered prompt goes into a single user message; no system
-    message is sent. Retries follow ``retry.post_with_retry``.
+    message is sent. Requests and retries go through ``retry.HttpClient``.
     """
 
     def __init__(
@@ -114,39 +113,22 @@ class ChatHttpProvider:
         attempts: int = 3,
         backoff_base: float = 1.0,
     ):
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.attempts = attempts
-        self.backoff_base = backoff_base
-        import requests  # deferred, so a process that makes no HTTP call never loads it
-
-        self._session = requests.Session()
-        self._slots = threading.Semaphore(MAX_IN_FLIGHT)
+        self.client = HttpClient(endpoint, api_key, timeout=DEFAULT_TIMEOUT,
+                                 attempts=attempts, backoff_base=backoff_base, name="chat")
 
     @property
     def name(self) -> str:
         return "http"
 
     def complete(self, request: GenerationRequest) -> str:
-        payload = {
+        reply = self.client.post_json({
             "model": request.model_name,
             "temperature": request.temperature,
             "messages": [{"role": "user", "content": request.prompt}],
-        }
-        response = post_with_retry(
-            self._session,
-            self._slots,
-            self.endpoint,
-            payload,
-            api_key=self.api_key,
-            timeout=DEFAULT_TIMEOUT,
-            attempts=self.attempts,
-            backoff_base=self.backoff_base,
-            what="chat",
-        )
+        })
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            return reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed chat response: {exc}") from exc
 
 

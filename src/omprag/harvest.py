@@ -18,7 +18,8 @@ from enum import Enum
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import CompileTimeoutError, FetchError, InvalidInputError, ReplayMissError
+from .errors import CompileTimeoutError, InvalidInputError, ReplayMissError
+from .retry import HttpClient
 from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
 
 log = logging.getLogger(__name__)
@@ -111,7 +112,10 @@ class FixtureQaApi:
 
 
 class HttpQaApi:
-    """Live Q&A API client; returns pages in the recorded-fixture shape."""
+    """Live Q&A API client; returns pages in the recorded-fixture shape.
+
+    The API key travels as the ``key`` query parameter, not as a header.
+    """
 
     def __init__(
         self,
@@ -120,12 +124,10 @@ class HttpQaApi:
         *,
         keywords: dict[str, str] | None = None,
     ):
-        self.endpoint = endpoint
         self.api_key = api_key
         self.keywords = keywords or {}
-        import requests  # deferred, so a process that makes no HTTP call never loads it
-
-        self._session = requests.Session()
+        self.client = HttpClient(endpoint, None, timeout=30.0, attempts=3, backoff_base=1.0,
+                                 name="Q&A API")
 
     def fetch_page(self, category: str, page: int) -> dict:
         params = {
@@ -137,24 +139,7 @@ class HttpQaApi:
         }
         if self.api_key:
             params["key"] = self.api_key
-        import requests
-
-        try:
-            response = self._session.get(self.endpoint, params=params, timeout=30.0)
-        except requests.RequestException as exc:
-            raise FetchError(f"Q&A API request failed: {exc}") from exc
-        if response.status_code == 429:
-            raise FetchError(
-                "Q&A API quota exceeded (HTTP 429); back off and retry later "
-                "or lower max_pages",
-                status=429,
-            )
-        if response.status_code != 200:
-            raise FetchError(
-                f"Q&A API returned {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        return response.json()
+        return self.client.get_json(params)
 
 
 def extract_code_blocks(body: str) -> list[str]:

@@ -100,7 +100,13 @@ def transform_case(case: CaseSpec, cfg: PipelineConfig, deps: PipelineDeps, out_
     # must not outlive this one.
     for name in ("transform_error.txt", "reply.txt", "generated.cpp"):
         (case_dir / name).unlink(missing_ok=True)
-    source = Path(case.serial_path).read_text(encoding="utf-8")
+    try:
+        source = Path(case.serial_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        (case_dir / "transform_error.txt").write_text(
+            f"cannot read serial source: {exc}\n", encoding="utf-8")
+        log.warning("cannot read serial source for %s: %s", case.case_id, exc)
+        return
 
     hits = []
     if cfg.profile == PROFILE_RAG:
@@ -175,19 +181,23 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         category = classify_failure(parallel.diagnostics, generated)
         return ValidationReport(case.case_id, False, category, parallel.diagnostics)
 
-    serial_source = Path(case.serial_path).read_text(encoding="utf-8")
     try:
-        serial = compile_gate(
-            serial_source,
-            case_dir / "build_serial",
-            openmp=False,
-            compile_cmd=cfg.compile_cmd,
-            timeout=cfg.compile_timeout,
-        )
-    except CompileTimeoutError:
+        serial_source = Path(case.serial_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
         serial = None
+    else:
+        try:
+            serial = compile_gate(
+                serial_source,
+                case_dir / "build_serial",
+                openmp=False,
+                compile_cmd=cfg.compile_cmd,
+                timeout=cfg.compile_timeout,
+            )
+        except CompileTimeoutError:
+            serial = None
     if serial is None or not serial.ok:
-        log.warning("serial source for %s no longer compiles; skipping differential",
+        log.warning("serial source for %s no longer reads or compiles; skipping differential",
                     case.case_id)
         return ValidationReport(case.case_id, True, diagnostics=parallel.diagnostics)
     verdict = differential_validate(

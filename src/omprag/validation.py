@@ -546,6 +546,8 @@ def _run_binary(
     """Run a case binary, with OMP_NUM_THREADS set when threads is given.
 
     Returns (exit_code, stdout, stderr); exit_code None means the run timed out.
+    Bytes that do not decode map to lone surrogates, so output that is not
+    UTF-8 ends no run, and different bytes still compare as different.
     """
     env = dict(os.environ)
     if threads is not None:
@@ -556,6 +558,7 @@ def _run_binary(
             stdin=subprocess.DEVNULL,
             capture_output=True,
             text=True,
+            errors="surrogateescape",
             timeout=timeout,
             env=env,
         )

@@ -52,7 +52,7 @@ def no_network(monkeypatch):
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list[tuple[int, dict]] = []
+    script: list[tuple[int, dict | bytes]] = []
     requests_seen: list[dict] = []
 
     def _serve(self):
@@ -71,7 +71,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             status, payload = type(self).script.pop(0)
         else:
             status, payload = 500, {"error": "script exhausted"}
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -97,10 +97,12 @@ class ScriptedServer:
 
 @pytest.fixture
 def scripted_server():
-    """Local HTTP server returning a scripted sequence of JSON responses."""
+    """Local HTTP server returning a scripted sequence of JSON responses.
+
+    A ``bytes`` payload is sent as it is, for a body that is not JSON."""
     servers = []
 
-    def start(script: list[tuple[int, dict]]) -> ScriptedServer:
+    def start(script: list[tuple[int, dict | bytes]]) -> ScriptedServer:
         handler = type(
             "Handler", (_ScriptedHandler,), {"script": list(script), "requests_seen": []}
         )

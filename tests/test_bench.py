@@ -90,6 +90,18 @@ class TestRunSweep:
         records = run_sweep("c", binary, thread_counts=[1, huge], repetitions=1)
         assert all(r.oversubscribed for r in records)
 
+    def test_oversubscription_counts_the_cores_this_process_may_use(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        binary = _fake_binary(tmp_path, 'echo "ELAPSED_SECONDS=0.1"\n')
+        records = run_sweep("c", binary, thread_counts=[1, 2], repetitions=1)
+        assert all(r.oversubscribed for r in records)
+
+    def test_output_that_is_not_utf8_still_gives_its_timing(self, tmp_path):
+        binary = _fake_binary(tmp_path, "printf '\\xff\\n'\necho \"ELAPSED_SECONDS=0.5\"\n")
+        records = run_sweep("c", binary, thread_counts=[1], repetitions=1)
+        assert records[0].wall_seconds == pytest.approx(0.5)
+
     def test_last_elapsed_line_wins(self):
         assert parse_elapsed_seconds("ELAPSED_SECONDS=1.0\nx\nELAPSED_SECONDS=2.5\n") == 2.5
 

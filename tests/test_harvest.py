@@ -9,7 +9,7 @@ import pytest
 
 from omprag.cli import main as cli_main
 from omprag.config import PipelineConfig
-from omprag.errors import FetchError, InvalidInputError, ReplayMissError
+from omprag.errors import InvalidInputError, ProviderError, ReplayMissError
 from omprag.harvest import (
     CANONICAL_MARK,
     CATEGORIES,
@@ -69,12 +69,25 @@ class TestFetch:
             fetch_candidates("quicksort", max_pages=1, api=api)
 
     def test_live_quota_exhaustion_advises_backoff(self, scripted_server):
-        server = scripted_server([(429, {"error": "quota"})])
+        server = scripted_server([(429, {"error": "quota"})] * 3)
         api = HttpQaApi(server.url)
-        with pytest.raises(FetchError) as exc_info:
+        api.client.backoff_base = 0.01
+        with pytest.raises(ProviderError) as exc_info:
             api.fetch_page("histogram", 1)
+        assert len(server.requests_seen) == 3
         assert exc_info.value.status == 429
-        assert "back off" in str(exc_info.value)
+        assert "429 on each of 3 attempts" in str(exc_info.value)
+
+    def test_live_request_retries_a_503_then_returns_the_page(self, scripted_server):
+        page = {"items": [], "has_more": False}
+        server = scripted_server([(503, {"error": "busy"}), (200, page)])
+        api = HttpQaApi(server.url, api_key="qa-key")
+        api.client.backoff_base = 0.01
+        assert api.fetch_page("histogram", 2) == page
+        assert len(server.requests_seen) == 2
+        sent = server.requests_seen[1]
+        assert "key=qa-key" in sent["path"] and "page=2" in sent["path"]
+        assert "Authorization" not in sent["headers"]
 
     def test_live_request_carries_keyword_query(self, scripted_server):
         server = scripted_server([(200, {"items": [], "has_more": False})])

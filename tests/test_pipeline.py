@@ -29,6 +29,7 @@ from omprag.validation import (
     ValidationReport,
     Verdict,
     load_jsonl,
+    save_jsonl,
 )
 
 from conftest import FIXTURES, requires_compiler
@@ -291,6 +292,20 @@ class TestCompileTimeout:
         assert slow_serial.differential_verdict is Verdict.SKIPPED
 
 
+def test_a_serial_source_gone_before_validation_skips_the_differential(tmp_path):
+    """validate_case treats an unreadable serial source like one that no longer compiles."""
+    compiler = tmp_path / "fake_cc.py"
+    compiler.write_text(_FAKE_COMPILER)
+    cfg = PipelineConfig(compile_cmd=f"{shlex.quote(sys.executable)} "
+                                     f"{shlex.quote(str(compiler))} {{src}} {{bin}}")
+    out = tmp_path / "o"
+    (out / "cases" / "gone").mkdir(parents=True)
+    (out / "cases" / "gone" / "generated.cpp").write_text("int main() {}")
+    (report,), _ = validate_and_report([CaseSpec("gone", str(tmp_path / "gone.cc"))], cfg, out)
+    assert report.compile_ok
+    assert report.differential_verdict is Verdict.SKIPPED
+
+
 @requires_compiler
 class TestCli:
     def test_ingest_and_index_commands(self, tmp_path, capsys):
@@ -397,6 +412,25 @@ class TestCli:
         assert rc == 0
         reports = load_jsonl(tmp_path / "o" / "reports.jsonl", ValidationReport)
         assert any(not r.compile_ok for r in reports)
+
+    def test_a_missing_serial_source_is_a_report_not_an_abort(self, mini_env, tmp_path):
+        missing = tmp_path / "gone.cc"
+        manifest = tmp_path / "cases.jsonl"
+        save_jsonl([mini_env.cases[0], CaseSpec("gone", str(missing))], manifest)
+        rc = cli_main([
+            "run",
+            "--case-manifest", str(manifest),
+            "--corpus-manifest", str(mini_env.corpus_manifest_path),
+            "--index", str(mini_env.index_path),
+            "--replay-dir", str(mini_env.replay_dirs["rag"]),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        first, gone = load_jsonl(tmp_path / "o" / "reports.jsonl", ValidationReport)
+        assert first.differential_verdict is Verdict.PASS
+        assert not gone.compile_ok
+        assert gone.diagnostics.startswith("generation failed: cannot read serial source: ")
+        assert str(missing) in gone.diagnostics
 
     def test_config_file_and_flag_precedence(self, mini_env, tmp_path):
         config = tmp_path / "run.ini"

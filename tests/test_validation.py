@@ -225,6 +225,12 @@ class TestDifferential:
         b = self._build(tmp_path, "b", _printer(r'"v=%.12f\n", 1.000000000001'))
         assert differential_validate(a, b, [1]) is Verdict.PASS
 
+    def test_output_that_is_not_utf8_compares_byte_for_byte(self, tmp_path):
+        ff = self._build(tmp_path, "ff", _printer(r'"v=\xff\n"'))
+        fe = self._build(tmp_path, "fe", _printer(r'"v=\xfe\n"'))
+        assert differential_validate(ff, ff, [1, 2]) is Verdict.PASS
+        assert differential_validate(fe, ff, [1]) is Verdict.MISMATCH
+
     def test_nonzero_exit_is_runtime_error(self, tmp_path):
         good = self._build(tmp_path, "good", _printer(r'"v=1\n"'))
         bad = self._build(tmp_path, "bad", _printer(r'"v=1\n"', code=3))
