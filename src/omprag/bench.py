@@ -13,13 +13,14 @@ import fcntl
 import logging
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BenchError, CompileTimeoutError, InvalidInputError, LockHeldError, ParseError
+from .errors import BenchError, InvalidInputError, LockHeldError, ParseError, UsageError
 from .tables import render_table
-from .validation import CaseSpec, _run_binary, compile_gate
+from .validation import CaseSpec, ValidationReport, Verdict, _run_binary, load_jsonl
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -115,8 +116,8 @@ def run_sweep(
     """Time the binary at each thread count; record the minimum of the reps."""
     if repetitions < 1:
         raise InvalidInputError("repetitions must be >= 1")
-    if not thread_counts:
-        raise InvalidInputError("thread_counts must be non-empty")
+    if not thread_counts or min(thread_counts) < 1:
+        raise InvalidInputError("thread_counts must contain positive thread counts")
     input_args = list(input_args or [])
     cores = len(os.sched_getaffinity(0))  # the cores this process may run on
     oversubscribed = max(thread_counts) > cores
@@ -142,51 +143,55 @@ def run_sweep(
             if not elapsed > 0:
                 raise BenchError(f"{case_id}: non-positive elapsed time {elapsed}")
             times.append(elapsed)
-        record = BenchRecord(
-            case_id=case_id,
-            threads=threads,
-            wall_seconds=min(times),
-            repetitions=repetitions,
-            source=MEASURED,
-            oversubscribed=oversubscribed,
-        )
-        record.validate()
-        records.append(record)
+        records.append(BenchRecord(case_id, threads, min(times), repetitions,
+                                   oversubscribed=oversubscribed))
     return records
 
 
-def bench_cases(cases: list[CaseSpec], cfg: PipelineConfig, run_dir: Path | str,
-                build_dir: Path | str) -> list[BenchRecord]:
-    """Build each parallelizable case's ``run_dir/cases/<id>/generated.cpp``
-    in ``build_dir/<id>`` and sweep it. A case with no generated code, a
-    failed or timed-out build, or a failed run is logged and skipped.
+def _check_validated(report: ValidationReport | None, build: Path) -> None:
+    """Raise BenchError unless validation passed the binary in build and built
+    it from the text now in ``generated.cpp`` (the gate left that as case.cpp)."""
+    if report is None:
+        raise BenchError("no validation report")
+    if not report.compile_ok:
+        why = report.failure_category.value if report.failure_category else report.diagnostics
+        raise BenchError("not compiled: " + why.split("\n")[0])
+    if report.differential_verdict is not Verdict.PASS:
+        raise BenchError(f"differential verdict {report.differential_verdict.value}")
+    with suppress(OSError, UnicodeDecodeError):
+        if ((build / "case.bin").is_file() and (build / "case.cpp").read_text(encoding="utf-8")
+                == (build.parent / "generated.cpp").read_text(encoding="utf-8")):
+            return
+    raise BenchError("changed since validation")
+
+
+def bench_cases(cases: list[CaseSpec], cfg: PipelineConfig,
+                run_dir: Path | str) -> list[BenchRecord]:
+    """Sweep each parallelizable case's ``run_dir/cases/<id>/build/case.bin``
+    that ``run_dir/reports.jsonl`` accepted; nothing is compiled. Every other
+    case, and a failed sweep, is logged and skipped.
     """
+    reports_path = Path(run_dir) / "reports.jsonl"
+    if not reports_path.is_file():
+        raise UsageError(f"no {reports_path}: validate the run before benchmarking it")
+    reports = {r.case_id: r for r in load_jsonl(reports_path, ValidationReport)}
     records: list[BenchRecord] = []
     for case in cases:
         if case.unparallelizable:
             continue
-        generated = Path(run_dir) / "cases" / case.case_id / "generated.cpp"
-        if not generated.is_file():
-            log.warning("no generated code for %s; skipping bench", case.case_id)
-            continue
+        build = Path(run_dir) / "cases" / case.case_id / "build"
         try:
-            built = compile_gate(generated.read_text(encoding="utf-8"),
-                                 Path(build_dir) / case.case_id,
-                                 compile_cmd=cfg.compile_cmd, timeout=cfg.compile_timeout)
-            if not built.ok:
-                log.warning("generated code for %s does not compile; skipping", case.case_id)
-                continue
-            records.extend(run_sweep(case.case_id, built.binary, cfg.thread_sweep,
+            _check_validated(reports.get(case.case_id), build)
+            records.extend(run_sweep(case.case_id, build / "case.bin", cfg.thread_sweep,
                                      cfg.repetitions, input_args=case.input_args))
-        except (CompileTimeoutError, BenchError, ParseError) as exc:
+        except (BenchError, ParseError) as exc:
             log.warning("skipping bench of %s: %s", case.case_id, exc)
     return records
 
 
 def compute_speedups(records: list[BenchRecord]) -> list[SpeedupRow]:
     """speedup(t) = wall(1) / wall(t), per case; never clamped."""
-    by_case: dict[str, dict[int, float]] = {}
-    case_order: list[str] = []
+    by_case: dict[str, dict[int, float]] = {}  # cases in first-seen order
     for record in records:
         record.validate()
         per_case = by_case.setdefault(record.case_id, {})
@@ -194,12 +199,9 @@ def compute_speedups(records: list[BenchRecord]) -> list[SpeedupRow]:
             raise InvalidInputError(
                 f"{record.case_id}: duplicate record for {record.threads} threads"
             )
-        if record.case_id not in case_order:
-            case_order.append(record.case_id)
         per_case[record.threads] = record.wall_seconds
     rows: list[SpeedupRow] = []
-    for case_id in case_order:
-        per_case = by_case[case_id]
+    for case_id, per_case in by_case.items():
         if 1 not in per_case:
             raise InvalidInputError(f"{case_id}: no 1-thread baseline record")
         baseline = per_case[1]

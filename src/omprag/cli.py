@@ -167,11 +167,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cases = load_case_manifest(args.case_manifest)
     deps = _load_retrieval(cfg, args)
-    reports, summary = run_pipeline(cases, cfg, deps, cfg.out_dir)
+    reports, _ = run_pipeline(cases, cfg, deps, cfg.out_dir)
     print(render_report(reports, "text"), end="")
-    denom = summary.total_cases - summary.excluded_unparallelizable
-    if summary.effective_success_rate is not None:
-        print(f"effective success rate: {summary.compile_success}/{denom}")
     return 0
 
 
@@ -186,7 +183,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError("bench needs --case-manifest unless --import-csv is given")
         cases = load_case_manifest(args.case_manifest)
         with BenchLock(args.lock_file or out_dir / "bench.lock"):
-            records = bench_cases(cases, cfg, args.run_dir or cfg.out_dir, out_dir / "build")
+            records = bench_cases(cases, cfg, args.run_dir or cfg.out_dir)
     rows = compute_speedups(records)
     write_records_csv(records, out_dir / "records.csv")
     write_speedups_csv(rows, out_dir / "speedups.csv")
@@ -291,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--case-manifest")
     p.add_argument("--run-dir", dest="run_dir",
-                   help="transform/run out-dir holding cases/<id>/generated.cpp "
-                        "(default: --out-dir)")
+                   help="validate/run out-dir holding reports.jsonl and each "
+                        "case's build/case.bin (default: --out-dir)")
     p.add_argument("--import-csv", dest="import_csv",
                    help="skip measuring; compute speedups from a records CSV")
     p.add_argument("--threads-sweep", dest="thread_sweep")

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import CompileTimeoutError, InvalidInputError, ReplayMissError
+from .errors import CompileTimeoutError, InvalidInputError, ParseError, ReplayMissError
 from .retry import HttpClient
 from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
 
@@ -156,6 +156,13 @@ def extract_code_blocks(body: str) -> list[str]:
     return blocks
 
 
+def _link_and_body(item) -> tuple[object, object]:
+    """An answer item's link and body; (None, None) for an item that is not an object."""
+    if not isinstance(item, dict):
+        return None, None
+    return item.get("link", ""), item.get("body_markdown") or item.get("body") or ""
+
+
 def fetch_candidates(category: str, max_pages: int, api) -> list[SnippetCandidate]:
     """Raw candidates for one category, in the API's relevance order."""
     if max_pages < 1:
@@ -163,15 +170,19 @@ def fetch_candidates(category: str, max_pages: int, api) -> list[SnippetCandidat
     candidates: list[SnippetCandidate] = []
     for page in range(1, max_pages + 1):
         payload = api.fetch_page(category, page)
-        for item in payload.get("items", []):
-            body = item.get("body_markdown") or item.get("body") or ""
+        items = payload.get("items", []) if isinstance(payload, dict) else None
+        if not isinstance(items, list):
+            raise ParseError(f"category {category!r} page {page}: the page is not an object "
+                             "with an 'items' list")
+        for n, item in enumerate(items, start=1):
+            link, body = _link_and_body(item)
+            if not isinstance(link, str) or not isinstance(body, str):
+                log.warning("category %r page %d: skipping item %d, which has no string "
+                            "body and link", category, page, n)
+                continue
             for block in extract_code_blocks(body):
                 candidates.append(
-                    SnippetCandidate(
-                        origin_url=item.get("link", ""),
-                        category=category,
-                        raw_code=block,
-                    )
+                    SnippetCandidate(origin_url=link, category=category, raw_code=block)
                 )
         if not payload.get("has_more", False):
             break

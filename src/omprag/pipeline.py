@@ -92,6 +92,12 @@ def _case_dir(out_dir: Path, case_id: str) -> Path:
     return out_dir / "cases" / case_id
 
 
+def _transform_failed(case_dir: Path, case_id: str, message: str) -> None:
+    """Record a per-case transform failure; validate_case reports it."""
+    (case_dir / "transform_error.txt").write_text(message + "\n", encoding="utf-8")
+    log.warning("transform of %s failed: %s", case_id, message)
+
+
 def transform_case(case: CaseSpec, cfg: PipelineConfig, deps: PipelineDeps, out_dir: Path) -> None:
     """Retrieve + prompt + generate + extract for one case; artifacts only."""
     case_dir = _case_dir(out_dir, case.case_id)
@@ -103,16 +109,20 @@ def transform_case(case: CaseSpec, cfg: PipelineConfig, deps: PipelineDeps, out_
     try:
         source = Path(case.serial_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        (case_dir / "transform_error.txt").write_text(
-            f"cannot read serial source: {exc}\n", encoding="utf-8")
-        log.warning("cannot read serial source for %s: %s", case.case_id, exc)
-        return
+        return _transform_failed(case_dir, case.case_id, f"cannot read serial source: {exc}")
+    if not source.strip():
+        return _transform_failed(case_dir, case.case_id, "serial source is empty")
 
     hits = []
     if cfg.profile == PROFILE_RAG:
         if deps.index is None or deps.embedder is None or deps.corpus_manifest is None:
             raise UsageError("rag profile needs a corpus manifest, an index, and an embedder")
-        hits = deps.index.query_topk(deps.embedder.embed(source), cfg.k)
+        try:
+            query = deps.embedder.embed(source)
+        except (InvalidInputError, ProviderError) as exc:
+            return _transform_failed(case_dir, case.case_id,
+                                     f"cannot embed serial source: {exc}")
+        hits = deps.index.query_topk(query, cfg.k)
     manifest = deps.corpus_manifest if deps.corpus_manifest is not None else CorpusManifest()
     bundle = build_prompt(source, hits, manifest, deps.template)
     (case_dir / "prompt.txt").write_text(bundle.rendered, encoding="utf-8")
@@ -126,9 +136,7 @@ def transform_case(case: CaseSpec, cfg: PipelineConfig, deps: PipelineDeps, out_
     try:
         outcome = generate(request, deps.provider)
     except (ProviderError, ReplayMissError) as exc:
-        (case_dir / "transform_error.txt").write_text(str(exc) + "\n", encoding="utf-8")
-        log.warning("generation failed for %s: %s", case.case_id, exc)
-        return
+        return _transform_failed(case_dir, case.case_id, str(exc))
     (case_dir / "reply.txt").write_text(outcome.raw_reply, encoding="utf-8")
     if outcome.extracted_code is not None:
         (case_dir / "generated.cpp").write_text(outcome.extracted_code, encoding="utf-8")

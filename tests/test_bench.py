@@ -3,18 +3,19 @@ from __future__ import annotations
 import csv
 import os
 import stat
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omprag import validation
 from omprag.bench import (
     BenchLock,
     BenchRecord,
     IMPORTED,
     MEASURED,
+    bench_cases,
     compute_speedups,
     import_records,
     parse_elapsed_seconds,
@@ -25,8 +26,11 @@ from omprag.bench import (
     write_speedups_csv,
 )
 from omprag.cli import main as cli_main
+from omprag.config import PipelineConfig
 from omprag.errors import BenchError, InvalidInputError, LockHeldError, ParseError
-from omprag.validation import CaseSpec, save_jsonl
+from omprag.generation import ReplayProvider
+from omprag.pipeline import PipelineDeps, run_pipeline
+from omprag.validation import CaseSpec, FailureCategory, ValidationReport, Verdict, save_jsonl
 
 import omprag
 
@@ -248,42 +252,43 @@ class TestRendering:
         assert "8 threads (s)" in table
 
 
-# Stands in for a compiler: "compiles" a shell script by copying it to an
-# executable output, and sleeps on a source that mentions SLOW.
-_COPYING_CC = """
-import os, shutil, sys, time
-src, out = sys.argv[1], sys.argv[2]
-if "SLOW" in open(src).read():
-    time.sleep(60)
-shutil.copy(src, out)
-os.chmod(out, 0o755)
-"""
+def _validated_run(run_dir: Path, scripts: dict[str, str],
+                   reports: list[ValidationReport]) -> None:
+    """A run directory as validation leaves it: each script as generated.cpp,
+    and as the build/case.cpp and build/case.bin the compile gate made of it."""
+    for case_id, body in scripts.items():
+        text = f"#!/bin/sh\n{body}\n"
+        build = run_dir / "cases" / case_id / "build"
+        build.mkdir(parents=True)
+        for path in (build.parent / "generated.cpp", build / "case.cpp", build / "case.bin"):
+            path.write_text(text)
+        (build / "case.bin").chmod(0o755)
+    save_jsonl(reports, run_dir / "reports.jsonl")
+
+
+def _passed(case_id: str) -> ValidationReport:
+    return ValidationReport(case_id, True, differential_verdict=Verdict.PASS,
+                            threads_tested=[1, 8])
+
+
+def _warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_cli_bench_skips_a_failed_case_and_keeps_the_rest(tmp_path, caplog):
-    compiler = tmp_path / "copying_cc.py"
-    compiler.write_text(_COPYING_CC)
-    config = tmp_path / "bench.ini"
-    config.write_text(
-        f"[omprag]\ncompile_cmd = {sys.executable} {compiler} {{src}} {{bin}}\n"
-        "compile_timeout = 2\n"
-    )
     run_dir = tmp_path / "run"
-    generated = {
+    scripts = {
         "a": 'echo "ELAPSED_SECONDS=0.5"',
         "b": "exit 3",
         "c": "echo no timing line",
-        "d": "# SLOW",
     }
-    for case_id, body in generated.items():
-        (run_dir / "cases" / case_id).mkdir(parents=True)
-        (run_dir / "cases" / case_id / "generated.cpp").write_text(f"#!/bin/sh\n{body}\n")
-    cases = [CaseSpec(case_id, "unused.cc") for case_id in [*generated, "missing"]]
+    _validated_run(run_dir, scripts, [_passed(case_id) for case_id in scripts])
+    cases = [CaseSpec(case_id, "unused.cc") for case_id in [*scripts, "missing"]]
     save_jsonl(cases, tmp_path / "cases.jsonl")
     out = tmp_path / "out"
 
     rc = cli_main([
-        "bench", "--config", str(config), "--case-manifest", str(tmp_path / "cases.jsonl"),
+        "bench", "--case-manifest", str(tmp_path / "cases.jsonl"),
         "--run-dir", str(run_dir), "--out-dir", str(out),
         "--threads-sweep", "1,2", "--repetitions", "1",
     ])
@@ -293,11 +298,87 @@ def test_cli_bench_skips_a_failed_case_and_keeps_the_rest(tmp_path, caplog):
     assert [(r["case_id"], r["threads"]) for r in rows] == [("a", "1"), ("a", "2")]
     assert all((out / name).is_file() for name in
                ("records.csv", "speedups.csv", "speedup_series.csv", "runtime_table.txt"))
-    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert not (out / "build").exists()
+    warned = _warnings(caplog)
     for prefix in (
         "skipping bench of b: b: benchmark exited 3 at 1 threads",
         "skipping bench of c: benchmark output has no ELAPSED_SECONDS",
-        "skipping bench of d: compile exceeded 2s",
-        "no generated code for missing",
+        "skipping bench of missing: no validation report",
     ):
         assert any(m.startswith(prefix) for m in warned), warned
+
+
+def test_only_binaries_that_passed_unchanged_are_swept(tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    timed = 'echo "ELAPSED_SECONDS=0.5"'
+    scripts = {case_id: timed for case_id in
+               ("ok", "mismatch", "crash", "unchecked", "edited", "excluded")}
+    reports = [
+        _passed("ok"),
+        ValidationReport("mismatch", True, differential_verdict=Verdict.MISMATCH),
+        ValidationReport("crash", True, differential_verdict=Verdict.RUNTIME_ERROR),
+        ValidationReport("unchecked", True),
+        ValidationReport("broken", False, FailureCategory.SYNTAX_ERROR, "case.cpp:1: error"),
+        ValidationReport("no_code", False, diagnostics="model reply contained no code block"),
+        _passed("edited"),
+        ValidationReport("excluded", False, excluded_unparallelizable=True),
+    ]
+    _validated_run(run_dir, scripts, reports)
+    # a transform rerun without validate: generated.cpp is no longer what was built
+    (run_dir / "cases" / "edited" / "generated.cpp").write_text("#!/bin/sh\nexit 1\n")
+    cases = [CaseSpec(r.case_id, "unused.cc", [], r.excluded_unparallelizable)
+             for r in reports]
+
+    records = bench_cases(cases, PipelineConfig(thread_sweep=(1,), repetitions=1), run_dir)
+
+    assert [r.case_id for r in records] == ["ok"]
+    assert sorted(_warnings(caplog)) == [
+        "skipping bench of broken: not compiled: SyntaxError",
+        "skipping bench of crash: differential verdict RuntimeError",
+        "skipping bench of edited: changed since validation",
+        "skipping bench of mismatch: differential verdict Mismatch",
+        "skipping bench of no_code: not compiled: model reply contained no code block",
+        "skipping bench of unchecked: differential verdict Skipped",
+    ]
+
+
+def test_a_removed_binary_is_not_swept(tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    _validated_run(run_dir, {"a": 'echo "ELAPSED_SECONDS=0.5"'}, [_passed("a")])
+    (run_dir / "cases" / "a" / "build" / "case.bin").unlink()
+    assert bench_cases([CaseSpec("a", "unused.cc")], PipelineConfig(), run_dir) == []
+    assert _warnings(caplog) == ["skipping bench of a: changed since validation"]
+
+
+def test_cli_bench_of_an_unvalidated_run_is_a_usage_error(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    (run_dir / "cases" / "a").mkdir(parents=True)
+    (run_dir / "cases" / "a" / "generated.cpp").write_text("int main() {}\n")
+    save_jsonl([CaseSpec("a", "unused.cc")], tmp_path / "cases.jsonl")
+    rc = cli_main(["bench", "--case-manifest", str(tmp_path / "cases.jsonl"),
+                   "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "validate the run" in capsys.readouterr().err
+
+
+def test_bench_after_run_runs_no_compiler(mini_env, cc, tmp_path, monkeypatch, caplog):
+    cfg = PipelineConfig(compile_cmd=cc.cmd(), thread_sweep=(1, 2), repetitions=1)
+    deps = PipelineDeps(provider=ReplayProvider(mini_env.replay_dirs["rag"]),
+                        template=mini_env.template, corpus_manifest=mini_env.manifest,
+                        index=mini_env.index, embedder=mini_env.embedder)
+    reports, _ = run_pipeline(mini_env.cases, cfg, deps, tmp_path / "run")
+    assert all(r.differential_verdict is Verdict.PASS for r in reports)
+    built = cc.runs
+    assert built == 2 * len(mini_env.cases)
+    # a new `omprag bench` process starts with an empty build store
+    monkeypatch.setattr(validation, "_store", validation.BuildStore())
+    try:
+        bench_cases(mini_env.cases, cfg, tmp_path / "run")
+    finally:
+        validation._store.close()
+    assert cc.runs == built
+    # the stand-in's binaries print no timing line, so each sweep ran and was refused
+    assert _warnings(caplog) == [
+        f"skipping bench of {case.case_id}: benchmark output has no ELAPSED_SECONDS=<float> line"
+        for case in mini_env.cases
+    ]

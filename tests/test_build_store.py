@@ -25,67 +25,11 @@ from omprag.validation import (
     _PCH_AFTER_MISSES, CaseSpec, Verdict, _leading_includes, classify_failure, compile_gate,
 )
 
-from conftest import FIXTURES, requires_compiler
+from conftest import FIXTURES, StandIn, requires_compiler
 
 # What a stand-in answers to --version to pass for GCC.
 GCC_VERSION = "g++ (stand-in) 12.2.0\nCopyright (C) 2022 Free Software Foundation, Inc."
 BLOCK = "#include <vector>\n\n"
-
-# Stands in for a compiler: logs each run, answers --version from VERSION,
-# runs before_read before it reads its source and on_header for a header
-# build, fails on a source marked BROKEN, sleeps on one marked SLOW, and
-# otherwise writes a shell script that prints one line.
-_STAND_IN = """#!{python}
-import os, sys, time
-VERSION = {version!r}
-if sys.argv[1:] == ["--version"]:
-    {on_version}
-src, out = sys.argv[-2:]
-{before_read}
-text = open(src).read()
-with open({log!r}, "a") as fh:
-    fh.write(" ".join(sys.argv[1:]) + "\\n")
-if "c++-header" in sys.argv:
-    {on_header}
-if "SLOW" in text:
-    time.sleep(60)
-if "BROKEN" in text:
-    sys.exit("case.cpp:1: error: broken")
-with open(out, "w") as fh:
-    fh.write("#!/bin/sh\\necho RESULT 1\\n")
-os.chmod(out, 0o755)
-"""
-
-
-class StandIn:
-    def __init__(self, directory: Path):
-        self.path = directory / "stand_in_cc"
-        self.log = directory / "stand_in_runs.log"
-        self.write()
-
-    def write(self, version: str = "stand-in 1.0",
-              on_version: str = "print(VERSION); sys.exit(0)", on_header: str = "pass",
-              before_read: str = "pass") -> None:
-        self.path.write_text(_STAND_IN.format(
-            python=sys.executable, version=version, on_version=on_version,
-            on_header=on_header, before_read=before_read, log=str(self.log)))
-        self.path.chmod(0o755)
-
-    def cmd(self, flags: str = "") -> str:
-        return f"{self.path} {flags} {{src}} {{bin}}"
-
-    @property
-    def runs(self) -> int:
-        return len(self.lines)
-
-    @property
-    def lines(self) -> list[str]:
-        return self.log.read_text().splitlines() if self.log.exists() else []
-
-
-@pytest.fixture
-def cc(tmp_path) -> StandIn:
-    return StandIn(tmp_path)
 
 
 def _run(binary: Path) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 from omprag.cli import main as cli_main
 from omprag.config import PipelineConfig
-from omprag.errors import InvalidInputError, ProviderError, ReplayMissError
+from omprag.errors import InvalidInputError, ParseError, ProviderError, ReplayMissError
 from omprag.harvest import (
     CANONICAL_MARK,
     CATEGORIES,
@@ -67,6 +67,24 @@ class TestFetch:
         api = FixtureQaApi(HARVEST_FIXTURES)
         with pytest.raises(ReplayMissError):
             fetch_candidates("quicksort", max_pages=1, api=api)
+
+    @pytest.mark.parametrize("page", [[], {"items": 5}, "items", None])
+    def test_a_page_of_the_wrong_shape_is_a_parse_error(self, tmp_path, page):
+        (tmp_path / "histogram_p2.json").write_text(json.dumps(page))
+        (tmp_path / "histogram_p1.json").write_text(json.dumps({"items": [], "has_more": True}))
+        with pytest.raises(ParseError, match="category 'histogram' page 2"):
+            fetch_candidates("histogram", max_pages=2, api=FixtureQaApi(tmp_path))
+
+    def test_items_of_the_wrong_shape_are_skipped(self, tmp_path, caplog):
+        good = {"link": "https://example.com/q/7", "body": "```\nint x = 1;\n```"}
+        items = [{"body": 5}, good, 7, {"body_markdown": ["x"]}, {"link": None, "body": ""}]
+        (tmp_path / "histogram_p1.json").write_text(json.dumps({"items": items}))
+        candidates = fetch_candidates("histogram", max_pages=1, api=FixtureQaApi(tmp_path))
+        assert [(c.origin_url, c.raw_code) for c in candidates] == [
+            ("https://example.com/q/7", "int x = 1;")]
+        skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m.split(", which")[0] for m in skipped] == [
+            f"category 'histogram' page 1: skipping item {n}" for n in (1, 3, 4, 5)]
 
     def test_live_quota_exhaustion_advises_backoff(self, scripted_server):
         server = scripted_server([(429, {"error": "quota"})] * 3)

@@ -12,7 +12,8 @@ import pytest
 from omprag.cli import _config_from_args, build_parser
 from omprag.cli import main as cli_main
 from omprag.config import PipelineConfig, load_config
-from omprag.errors import InvalidInputError, UsageError
+from omprag.embedding import HashedTfidfEmbedder
+from omprag.errors import InvalidInputError, ProviderError, UsageError
 from omprag.generation import ReplayProvider
 from omprag.pipeline import (
     PipelineDeps,
@@ -290,6 +291,49 @@ class TestCompileTimeout:
         assert slow_parallel.diagnostics.startswith("compile timed out: ")
         assert slow_serial.compile_ok
         assert slow_serial.differential_verdict is Verdict.SKIPPED
+
+
+class _DownEmbedder:
+    provider_tag = "remote:down"
+
+    def embed(self, text):
+        raise ProviderError("embedding endpoint returned 503")
+
+
+@pytest.mark.parametrize("profile", ["rag", "baseline"])
+def test_a_serial_source_that_cannot_be_embedded_is_a_report(mini_env, cc, tmp_path, profile):
+    """An empty or symbols-only source is that case's failure, not the run's."""
+    blank, symbols = tmp_path / "blank.cc", tmp_path / "symbols.cc"
+    blank.write_text("  \n\t\n")
+    symbols.write_text("+-*/ {} ;;\n")
+    cases = [mini_env.cases[0], CaseSpec("blank", str(blank)), CaseSpec("symbols", str(symbols))]
+    cfg = PipelineConfig(profile=profile, compile_cmd=cc.cmd())
+    reports, _ = run_pipeline(cases, cfg, _deps(mini_env, profile), tmp_path / "o")
+    first, empty, only_symbols = load_jsonl(tmp_path / "o" / "reports.jsonl", ValidationReport)
+    assert [r.case_id for r in reports] == ["case1", "blank", "symbols"]
+    assert first.differential_verdict is Verdict.PASS
+    assert empty.diagnostics == "generation failed: serial source is empty"
+    if profile == "rag":
+        assert only_symbols.diagnostics == ("generation failed: cannot embed serial source: "
+                                            "text contains no embeddable tokens")
+    else:  # nothing to embed; its prompt is rendered and has no recorded reply
+        assert only_symbols.diagnostics.startswith("generation failed: no recorded reply")
+
+
+def test_an_embedding_provider_error_is_a_report(mini_env, cc, tmp_path):
+    deps = _deps(mini_env, "rag")
+    deps.embedder = _DownEmbedder()
+    reports, _ = run_pipeline(mini_env.cases[:2], PipelineConfig(compile_cmd=cc.cmd()), deps,
+                              tmp_path / "o")
+    assert [r.diagnostics for r in reports] == [
+        "generation failed: cannot embed serial source: embedding endpoint returned 503"] * 2
+
+
+def test_a_query_from_another_vector_space_still_aborts(mini_env, tmp_path):
+    deps = _deps(mini_env, "rag")
+    deps.embedder = HashedTfidfEmbedder(dimension=64).fit(c.body for c in mini_env.manifest.chunks)
+    with pytest.raises(InvalidInputError, match="index expects"):
+        run_pipeline(mini_env.cases[:1], PipelineConfig(), deps, tmp_path / "o")
 
 
 def test_a_serial_source_gone_before_validation_skips_the_differential(tmp_path):
