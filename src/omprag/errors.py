@@ -46,10 +46,6 @@ class ToolchainError(EnvironmentFailure):
     """The configured compiler is not available on this host."""
 
 
-class CompileTimeoutError(OmpragError):
-    """The compiler exceeded its time budget (distinct from a failed compile)."""
-
-
 class BenchError(OmpragError):
     """A benchmark process misbehaved (nonzero exit, bad timing output)."""
 

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import CompileTimeoutError, InvalidInputError, ParseError, ReplayMissError
+from .errors import InvalidInputError, ParseError, ReplayMissError
 from .retry import HttpClient
 from .validation import DEFAULT_COMPILE_CMD, DEFAULT_COMPILE_TIMEOUT, CaseSpec, compile_gate
 
@@ -418,14 +418,12 @@ def compile_filter(
     """
     if candidate.cleaned_code is None:
         raise InvalidInputError("compile_filter requires a cleaned candidate")
-    try:
-        ok = compile_gate(_case_file_text(candidate), work_dir, openmp=False,
-                          compile_cmd=compile_cmd, timeout=timeout).ok
-    except CompileTimeoutError as exc:
-        log.info("compile gate timed out: %s", exc)
-        ok = False
-    if ok:
+    result = compile_gate(_case_file_text(candidate), work_dir, openmp=False,
+                          compile_cmd=compile_cmd, timeout=timeout)
+    if result.ok:
         return candidate
+    if result.timed_out:
+        log.info("compile gate timed out: %s", result.diagnostics)
     log.info("candidate from %s rejected by compile gate", candidate.origin_url or "<unknown>")
     return replace(candidate, cleaned_code=None, rejection_reason=RejectionReason.COMPILE_FAIL)
 

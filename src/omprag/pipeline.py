@@ -24,9 +24,7 @@ from pathlib import Path
 
 from .config import PROFILE_RAG, PipelineConfig
 from .corpus import CorpusManifest
-from .errors import (
-    CompileTimeoutError, InvalidInputError, ProviderError, ReplayMissError, UsageError,
-)
+from .errors import InvalidInputError, ProviderError, ReplayMissError, UsageError
 from .generation import GenerationRequest, generate
 from .index import VectorIndex
 from .prompt import build_prompt
@@ -175,16 +173,16 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
                                 diagnostics="model reply contained no code block")
 
     generated = generated_path.read_text(encoding="utf-8")
-    try:
-        parallel = compile_gate(
-            generated,
-            case_dir / "build",
-            openmp=True,
-            compile_cmd=cfg.compile_cmd,
-            timeout=cfg.compile_timeout,
-        )
-    except CompileTimeoutError as exc:  # a result for this case, not a failure category
-        return ValidationReport(case.case_id, False, diagnostics=f"compile timed out: {exc}")
+    parallel = compile_gate(
+        generated,
+        case_dir / "build",
+        openmp=True,
+        compile_cmd=cfg.compile_cmd,
+        timeout=cfg.compile_timeout,
+    )
+    if parallel.timed_out:  # a result for this case, not a failure category
+        return ValidationReport(case.case_id, False,
+                                diagnostics=f"compile timed out: {parallel.diagnostics}")
     if not parallel.ok:
         category = classify_failure(parallel.diagnostics, generated)
         return ValidationReport(case.case_id, False, category, parallel.diagnostics)
@@ -194,16 +192,13 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
     except (OSError, UnicodeDecodeError):
         serial = None
     else:
-        try:
-            serial = compile_gate(
-                serial_source,
-                case_dir / "build_serial",
-                openmp=False,
-                compile_cmd=cfg.compile_cmd,
-                timeout=cfg.compile_timeout,
-            )
-        except CompileTimeoutError:
-            serial = None
+        serial = compile_gate(
+            serial_source,
+            case_dir / "build_serial",
+            openmp=False,
+            compile_cmd=cfg.compile_cmd,
+            timeout=cfg.compile_timeout,
+        )
     if serial is None or not serial.ok:
         log.warning("serial source for %s no longer reads or compiles; skipping differential",
                     case.case_id)

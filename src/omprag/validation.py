@@ -22,11 +22,11 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path, PurePosixPath
 
-from .errors import CompileTimeoutError, InvalidInputError, ParseError, ToolchainError
+from .errors import InvalidInputError, ParseError, ToolchainError
 
 log = logging.getLogger(__name__)
 
@@ -135,12 +135,13 @@ def load_jsonl(path: Path | str, record_type) -> list:
 # Compile gate
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CompileResult:
     ok: bool
     diagnostics: str
     binary: Path | None
     cached: bool = False
+    timed_out: bool = False
 
 
 _VERSION_PROBE_TIMEOUT = 10.0
@@ -219,7 +220,7 @@ class BuildStore:
     the compiler's identity (resolved path plus ``--version`` output), in
     the spirit of ccache's direct mode. Each key compiles once, in its own
     ``<key>/`` directory of a private store directory made on first use and
-    removed at interpreter exit, and maps to ``(ok, diagnostics)``; a
+    removed at interpreter exit, and maps to its CompileResult; a
     successful compile's binary stays there as ``case.bin``. The store
     directory also holds the precompiled headers that ``pch_dir`` builds.
     Nothing is shared across processes.
@@ -228,7 +229,7 @@ class BuildStore:
     def __init__(self):
         self._lock = threading.Lock()
         self._dir: Path | None = None
-        self._results: dict[str, tuple[bool, str]] = {}
+        self._results: dict[str, CompileResult] = {}
         self._key_locks: dict[str, threading.Lock] = {}
         self._compilers: dict[tuple, str] = {}
         # Per leading-include block: plain misses so far, then the directory
@@ -272,42 +273,42 @@ class BuildStore:
             return self._dir
 
     def build(self, source: str, argv: list[str], compiler: str,
-              timeout: float) -> tuple[bool, str, Path | None, bool]:
-        """``(ok, diagnostics, stored binary, cached)`` of compiling source with argv.
+              timeout: float) -> CompileResult:
+        """The result of compiling source with argv; its binary is the stored one.
 
         argv names the source ``case.cpp`` and the binary ``case.bin``,
-        relative to the key's directory, where the compile runs. The stored
-        binary is None for a failed compile, which includes a compiler that
-        exits 0 without writing ``case.bin``, and cached is True when an
-        earlier call made the build. A timed-out compile raises
-        CompileTimeoutError and leaves nothing in the store.
+        relative to the key's directory, where the compile runs. A compiler
+        that exits 0 without writing ``case.bin`` fails the compile, and
+        cached is True when an earlier call made the build. A timed-out
+        compile is a failed result with ``timed_out`` set, and leaves
+        nothing in the store.
         """
         identity = self._compiler_identity(compiler, timeout)
         key = hashlib.sha256(json.dumps([source, argv, identity]).encode()).hexdigest()
         directory = self._root() / key
         with self.key_lock(key):
-            cached = key in self._results
-            if cached:
+            if key in self._results:
                 log.debug("compile cache hit %s", key[:12])
-            else:
-                run_argv = list(argv)
-                pch_dir = self.pch_dir(source, argv, identity, timeout)
-                if pch_dir is not None:
-                    # Beside the source word, where a wrapper in argv[0] (``env``,
-                    # ``nice``, ``ccache``) passes it on to the compiler.
-                    at = argv.index("case.cpp")
-                    run_argv[at:at] = ["-I", str(pch_dir)]
-                try:
-                    proc = _run_compiler(directory, source, run_argv, timeout)
-                except subprocess.TimeoutExpired as exc:
-                    shutil.rmtree(directory, ignore_errors=True)
-                    raise CompileTimeoutError(f"compile exceeded {timeout:.0f}s: {argv}") from exc
-                ok, diagnostics = proc.returncode == 0, proc.stderr
-                if ok and not (directory / "case.bin").is_file():
-                    ok, diagnostics = False, diagnostics + "compiler wrote no binary case.bin\n"
-                self._results[key] = (ok, diagnostics)
-            ok, diagnostics = self._results[key]
-        return ok, diagnostics, directory / "case.bin" if ok else None, cached
+                return replace(self._results[key], cached=True)
+            run_argv = list(argv)
+            pch_dir = self.pch_dir(source, argv, identity, timeout)
+            if pch_dir is not None:
+                # Beside the source word, where a wrapper in argv[0] (``env``,
+                # ``nice``, ``ccache``) passes it on to the compiler.
+                at = argv.index("case.cpp")
+                run_argv[at:at] = ["-I", str(pch_dir)]
+            try:
+                proc = _run_compiler(directory, source, run_argv, timeout)
+            except subprocess.TimeoutExpired:
+                shutil.rmtree(directory, ignore_errors=True)
+                return CompileResult(False, f"compile exceeded {timeout:.0f}s: {argv}", None,
+                                     timed_out=True)
+            ok, diagnostics = proc.returncode == 0, proc.stderr
+            if ok and not (directory / "case.bin").is_file():
+                ok, diagnostics = False, diagnostics + "compiler wrote no binary case.bin\n"
+            result = CompileResult(ok, diagnostics, directory / "case.bin" if ok else None)
+            self._results[key] = result
+        return result
 
     def pch_dir(self, source: str, argv: list[str], identity: str,
                 timeout: float) -> Path | None:
@@ -408,7 +409,8 @@ def compile_gate(
     compiles each build (same source text, argv and compiler) once per
     process, in a directory of its own, so the diagnostics name ``case.cpp``
     wherever work_dir is; a repeated build gets the same ``ok`` and
-    diagnostics with ``cached=True``. A timed-out compile is never stored.
+    diagnostics with ``cached=True``. A timed-out compile is a failed
+    result with ``timed_out`` set, and is never stored.
 
     A missing compiler raises ToolchainError (an environment problem,
     distinct from a failed compile, which is a result).
@@ -425,19 +427,20 @@ def compile_gate(
     compiler = shutil.which(argv[0])
     if compiler is None:
         raise ToolchainError(f"compiler {argv[0]!r} not found on this host")
-    ok, diagnostics, stored, cached = _store.build(source, argv, compiler, timeout)
-    if ok:
-        tmp = work_dir / f".case.bin.{threading.get_ident()}.tmp"
-        tmp.unlink(missing_ok=True)
+    result = _store.build(source, argv, compiler, timeout)
+    if not result.ok:
+        return result
+    tmp = work_dir / f".case.bin.{threading.get_ident()}.tmp"
+    tmp.unlink(missing_ok=True)
+    try:
         try:
-            try:
-                os.link(stored, tmp)
-            except OSError:  # another filesystem, or no hard links there
-                shutil.copy2(stored, tmp)
-            os.replace(tmp, binary)
-        finally:
-            tmp.unlink(missing_ok=True)
-    return CompileResult(ok, diagnostics, binary if ok else None, cached)
+            os.link(result.binary, tmp)
+        except OSError:  # another filesystem, or no hard links there
+            shutil.copy2(result.binary, tmp)
+        os.replace(tmp, binary)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return replace(result, binary=binary)
 
 
 # --------------------------------------------------------------------------

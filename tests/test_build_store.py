@@ -18,7 +18,6 @@ import pytest
 import omprag
 from omprag import validation
 from omprag.config import PipelineConfig
-from omprag.errors import CompileTimeoutError
 from omprag.harvest import FixtureQaApi, RejectionReason, harvest_cases
 from omprag.pipeline import validate_case
 from omprag.validation import (
@@ -88,8 +87,8 @@ def test_timed_out_compile_is_not_stored(cc, tmp_path, build_store):
     for work in ("a", "b"):
         (tmp_path / work).mkdir()
         (tmp_path / work / "case.bin").write_text("an older binary")
-        with pytest.raises(CompileTimeoutError):
-            compile_gate("// SLOW", tmp_path / work, compile_cmd=cc.cmd(), timeout=1.0)
+        result = compile_gate("// SLOW", tmp_path / work, compile_cmd=cc.cmd(), timeout=1.0)
+        assert (result.ok, result.timed_out, result.binary) == (False, True, None)
         assert {p.name for p in (tmp_path / work).iterdir()} == {"case.cpp"}
         assert not any(build_store._dir.iterdir())
     assert cc.runs == 2
@@ -462,7 +461,7 @@ def test_failed_link_diagnostics_name_case_o_on_every_run():
     source = "#include <omp.h>\nint main() { return omp_get_wtime() < 0; }\n"
     argv = validation.compile_argv("g++ -std=c++17 -O2 {src} -o {bin}")
 
-    def link_once() -> tuple:
+    def link_once() -> validation.CompileResult:
         store = validation.BuildStore()
         try:
             return store.build(source, argv, shutil.which("g++"), 60.0)
@@ -470,6 +469,6 @@ def test_failed_link_diagnostics_name_case_o_on_every_run():
             store.close()
 
     first, second = link_once(), link_once()
-    assert first[0] is False and "undefined reference to `omp_get_wtime'" in first[1]
-    assert "case.o: in function `main'" in first[1]
-    assert second[:2] == first[:2]
+    assert first.ok is False and "undefined reference to `omp_get_wtime'" in first.diagnostics
+    assert "case.o: in function `main'" in first.diagnostics
+    assert (second.ok, second.diagnostics) == (first.ok, first.diagnostics)
