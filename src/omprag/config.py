@@ -62,6 +62,10 @@ class PipelineConfig:
             raise InvalidInputError("temperature must be >= 0")
         if not self.thread_sweep or any(t < 1 for t in self.thread_sweep):
             raise InvalidInputError("thread_sweep must contain positive thread counts")
+        # Speedups divide by the one 1-thread record of each case.
+        if 1 not in self.thread_sweep or len(set(self.thread_sweep)) < len(self.thread_sweep):
+            raise InvalidInputError("thread_sweep must include 1 and name each thread count "
+                                    f"once, got {self.thread_sweep}")
         # With no thread count only the serial binary would run: a vacuous Pass.
         if not self.differential_threads or any(t < 1 for t in self.differential_threads):
             raise InvalidInputError("differential_threads must contain positive thread counts")

@@ -234,8 +234,9 @@ def ingest_corpus(
 ) -> CorpusManifest:
     """Ingest every .md/.txt document under root_path into a manifest.
 
-    Unreadable files produce a warning and are skipped; the ingest fails
-    only if no document can be read at all.
+    Unreadable files, files that are not UTF-8 and empty ones produce a
+    warning and are skipped; the ingest fails only if no document can be
+    read at all.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -250,7 +251,7 @@ def ingest_corpus(
         rel = path.relative_to(root).as_posix()
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             log.warning("skipping unreadable corpus file %s: %s", rel, exc)
             continue
         if not text.strip():

@@ -276,19 +276,17 @@ def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
     printed: list[str] = []
     removed: list[str] = []
     out_lines: list[str] = []
-    skipping_continuation = False
+    pending = ""  # an I/O statement that continues on later lines, so far
     for line in code.split("\n"):
         if CANONICAL_MARK in line:
             out_lines.append(line)
             continue
-        if skipping_continuation:
-            if line.rstrip().endswith(";"):
-                skipping_continuation = False
-            continue
-        if not _IO_RE.search(line):
-            out_lines.append(line)
-            continue
-        if re.match(r"\s*#\s*include\b", line):
+        if pending:
+            pending += "\n" + line
+            if not line.rstrip().endswith(";"):
+                continue
+            line, pending = pending, ""  # the whole statement, as if on one line
+        elif not _IO_RE.search(line) or re.match(r"\s*#\s*include\b", line):
             out_lines.append(line)
             continue
         kept_statements: list[str] = []
@@ -308,8 +306,8 @@ def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
         if kept_statements:
             indent = re.match(r"\s*", line).group(0)
             out_lines.append(indent + "; ".join(s.strip() for s in kept_statements) + ";")
-        if _IO_RE.search(trailing) and not trailing.rstrip().endswith((";", "}", "{")):
-            skipping_continuation = True  # statement continues on later lines
+        if _IO_RE.search(trailing) and not trailing.rstrip().endswith(("}", "{")):
+            pending = trailing
     return "\n".join(out_lines), printed, removed
 
 

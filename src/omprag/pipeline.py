@@ -165,10 +165,10 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         return ValidationReport(case.case_id, False, diagnostics="generation failed: " + error)
     if not generated_path.is_file():
         if not reply_path.is_file():
-            raise UsageError(
-                f"no transform artifacts for case {case.case_id!r} under {case_dir}; "
-                f"run the transform stage first"
-            )
+            log.warning("case %s has no transform artifacts under %s; run the transform "
+                        "stage first", case.case_id, case_dir)
+            return ValidationReport(case.case_id, False, diagnostics=(
+                "not transformed: no transform artifacts; run the transform stage first"))
         return ValidationReport(case.case_id, False,
                                 diagnostics="model reply contained no code block")
 

@@ -202,13 +202,16 @@ def _run_compiler(directory: Path, text: str, argv: list[str],
 
     LC_ALL=C keeps the diagnostics plain ASCII across locales. A failed link
     names the compiler's temporary object, a fresh random path on every run, so
-    that path reads ``case.o``. Raises OSError when the compiler cannot start,
-    and subprocess.TimeoutExpired after timeout seconds.
+    that path reads ``case.o``. Raises ToolchainError when the compiler cannot
+    start, and subprocess.TimeoutExpired after timeout seconds.
     """
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "case.cpp").write_text(text, encoding="utf-8")
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=directory,
-                          env={**os.environ, "LC_ALL": "C"}, stdin=subprocess.DEVNULL)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=directory,
+                              env={**os.environ, "LC_ALL": "C"}, stdin=subprocess.DEVNULL)
+    except OSError as exc:
+        raise ToolchainError(f"compiler {argv[0]!r} cannot start: {exc}") from exc
     proc.stderr = _TEMP_OBJECT_RE.sub("case.o", proc.stderr)
     return proc
 
@@ -356,7 +359,7 @@ class BuildStore:
             gch.parent.mkdir(parents=True, exist_ok=True)
             proc = _run_compiler(directory, "\n".join(block) + "\n", build, timeout)
             ok = proc.returncode == 0 and not proc.stdout and not proc.stderr and gch.is_file()
-        except (OSError, subprocess.TimeoutExpired):
+        except (OSError, ToolchainError, subprocess.TimeoutExpired):
             ok = False
         finally:
             (directory / "case.cpp").unlink(missing_ok=True)
@@ -412,8 +415,8 @@ def compile_gate(
     diagnostics with ``cached=True``. A timed-out compile is a failed
     result with ``timed_out`` set, and is never stored.
 
-    A missing compiler raises ToolchainError (an environment problem,
-    distinct from a failed compile, which is a result).
+    A compiler that is missing or cannot start raises ToolchainError (an
+    environment problem, distinct from a failed compile, which is a result).
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)

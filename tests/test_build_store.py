@@ -17,11 +17,14 @@ import pytest
 
 import omprag
 from omprag import validation
+from omprag.cli import main as cli_main
 from omprag.config import PipelineConfig
+from omprag.errors import ToolchainError
 from omprag.harvest import FixtureQaApi, RejectionReason, harvest_cases
 from omprag.pipeline import validate_case
 from omprag.validation import (
     _PCH_AFTER_MISSES, CaseSpec, Verdict, _leading_includes, classify_failure, compile_gate,
+    save_jsonl,
 )
 
 from conftest import FIXTURES, StandIn, requires_compiler
@@ -161,6 +164,27 @@ def test_compiler_that_writes_no_binary_is_a_failed_compile(tmp_path):
     report = validate_case(spec, cfg, tmp_path / "run")
     assert not report.compile_ok
     assert "compiler wrote no binary case.bin" in report.diagnostics
+
+
+def test_compiler_that_cannot_start_is_an_environment_error(tmp_path, monkeypatch, capsys):
+    """A compiler script whose interpreter is missing stops the run with the
+    CLI's environment error, not a traceback."""
+    compiler = tmp_path / "cc"
+    compiler.write_text("#!/nonexistent/interpreter\n")
+    compiler.chmod(0o755)
+    cmd = f"{compiler} {{src}} {{bin}}"
+    with pytest.raises(ToolchainError, match=f"compiler '{compiler}' cannot start"):
+        compile_gate("int main(){}", tmp_path / "gate", compile_cmd=cmd)
+
+    run = tmp_path / "run"
+    (run / "cases" / "c1").mkdir(parents=True)
+    (run / "cases" / "c1" / "generated.cpp").write_text("int main(){}\n")
+    save_jsonl([CaseSpec("c1", str(tmp_path / "serial.cc"))], tmp_path / "cases.jsonl")
+    monkeypatch.setenv("OMPRAG_COMPILE_CMD", cmd)
+    code = cli_main(["validate", "--case-manifest", str(tmp_path / "cases.jsonl"),
+                     "--out-dir", str(run)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"environment error: compiler '{compiler}'")
 
 
 @requires_compiler

@@ -145,6 +145,25 @@ def test_ingest_skips_unreadable_file_and_continues(tmp_path, caplog):
     assert {c.source_doc for c in manifest.chunks} == {"good.md"}
 
 
+def test_ingest_skips_a_file_that_is_not_utf8(tmp_path, caplog):
+    (tmp_path / "good.md").write_text("# Ok\n\ncontent here\n")
+    latin1 = "# Caf\u00e9\n\ncr\u00e8me br\u00fbl\u00e9e\n".encode("latin-1")
+    (tmp_path / "latin1.md").write_bytes(latin1)
+    out = tmp_path / "manifest.jsonl"
+    assert cli_main(["ingest", "--root", str(tmp_path), "--out", str(out)]) == 0
+    assert {c.source_doc for c in CorpusManifest.load(out).chunks} == {"good.md"}
+    assert any(r.getMessage().startswith("skipping unreadable corpus file latin1.md: ")
+               for r in caplog.records)
+
+
+def test_ingest_skips_an_empty_file(tmp_path, caplog):
+    (tmp_path / "good.md").write_text("# Ok\n\ncontent here\n")
+    (tmp_path / "blank.txt").write_text(" \n\t\n")
+    manifest = ingest_corpus(tmp_path)
+    assert {c.source_doc for c in manifest.chunks} == {"good.md"}
+    assert "skipping empty corpus file blank.txt" in [r.getMessage() for r in caplog.records]
+
+
 def test_ingest_all_unreadable_errors(tmp_path):
     (tmp_path / "bad.md").mkdir()
     with pytest.raises(CorpusEmptyError):

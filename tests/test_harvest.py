@@ -227,6 +227,31 @@ class TestCleanAndFilter:
         assert CANONICAL_MARK in out.cleaned_code
         assert "#include <iostream>" in out.cleaned_code
 
+    @pytest.mark.parametrize("split_print", [
+        ['    std::cout << "sum = "', "              << s << std::endl;"],
+        ['    printf("%lld\\n",', "           s);"],
+    ])
+    def test_a_print_split_over_two_lines_keeps_its_value(self, split_print):
+        code = "\n".join([
+            "#include <cstdio>",
+            "#include <iostream>",
+            "int main() {",
+            "    long long s = 0;",
+            "    for (int i = 0; i < 100; ++i) {",
+            "        s += i;",
+            "    }",
+            *split_print,
+            "    if (s < 0) {",
+            "        return 1;",
+            "    }",
+            "    return 0;",
+            "}",
+        ])
+        out = clean_and_filter(_candidate(code))
+        assert out.rejection_reason is None
+        assert "<< s <<" not in out.cleaned_code and "s);" not in out.cleaned_code
+        assert 'std::cout << "RESULT s=" << (s) << "\\n";' in out.cleaned_code
+
     def test_idempotent_on_survivors(self):
         for name in ("accept_1.cc", "accept_2.cc"):
             code = (FIXTURES / "snippets" / name).read_text()

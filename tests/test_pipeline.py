@@ -293,6 +293,24 @@ class TestCompileTimeout:
         assert slow_serial.differential_verdict is Verdict.SKIPPED
 
 
+def test_an_untransformed_case_is_a_report_not_an_abort(cc, tmp_path, caplog):
+    serial = tmp_path / "serial.cc"
+    serial.write_text("int main() {}")
+    out = tmp_path / "o"
+    (out / "cases" / "a").mkdir(parents=True)
+    (out / "cases" / "a" / "generated.cpp").write_text("int main() {}")
+    cases = [CaseSpec("a", str(serial)), CaseSpec("b", str(serial))]
+    validate_and_report(cases, PipelineConfig(compile_cmd=cc.cmd()), out)
+    a, b = load_jsonl(out / "reports.jsonl", ValidationReport)
+    assert a.differential_verdict is Verdict.PASS
+    assert (b.case_id, b.compile_ok, b.failure_category) == ("b", False, None)
+    assert b.diagnostics == ("not transformed: no transform artifacts; "
+                             "run the transform stage first")
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"case b has no transform artifacts under {out / 'cases' / 'b'}; "
+        "run the transform stage first"]
+
+
 class _DownEmbedder:
     provider_tag = "remote:down"
 
@@ -507,6 +525,8 @@ class TestCli:
             {"compile_timeout": 0},
             {"run_timeout": -1.0},
             {"repetitions": 0},
+            {"thread_sweep": "2,4"},
+            {"thread_sweep": "1,2,2"},
             {"workers": "two"},
             {"compile_cmd": "g++ -O2 {src}"},
             {"compile_cmd": "g++ -DX={x} {src} -o {bin}"},
