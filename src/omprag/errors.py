@@ -43,7 +43,7 @@ class EnvironmentFailure(OmpragError):
 
 
 class ToolchainError(EnvironmentFailure):
-    """The configured compiler is not available on this host."""
+    """The configured compiler is missing from this host or cannot start."""
 
 
 class BenchError(OmpragError):
