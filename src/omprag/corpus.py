@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,8 +23,6 @@ DEFAULT_MAX_TOKENS = 400
 MIN_MAX_TOKENS = 32
 
 _HEADING_RE = re.compile(r"^(#{1,3})\s+(.*\S)\s*$")
-
-_CHUNK_FIELDS = ("chunk_id", "source_doc", "heading_path", "body", "token_estimate")
 
 
 def token_estimate(text: str) -> int:
@@ -49,13 +47,9 @@ class CorpusChunk:
                 f"does not match body ({token_estimate(self.body)} tokens)"
             )
 
-    def to_json(self) -> str:
-        record = {name: getattr(self, name) for name in _CHUNK_FIELDS}
-        return json.dumps(record, ensure_ascii=False)
-
     @classmethod
     def from_dict(cls, record: dict) -> "CorpusChunk":
-        missing = [name for name in _CHUNK_FIELDS if name not in record]
+        missing = [f.name for f in fields(cls) if f.name not in record]
         if missing:
             raise InvalidInputError(f"chunk record missing fields: {missing}")
         return cls(
@@ -106,7 +100,7 @@ class CorpusManifest:
             {"corpus_version": self.corpus_version, "created_at": self.created_at},
             ensure_ascii=False,
         )
-        lines = [header] + [chunk.to_json() for chunk in self.chunks]
+        lines = [header] + [json.dumps(asdict(chunk), ensure_ascii=False) for chunk in self.chunks]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import PROFILE_RAG, PipelineConfig
@@ -55,15 +55,6 @@ class RunSummary:
             raise InvalidInputError(
                 f"summary counts {parts} do not add up to total {self.total_cases}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "total_cases": self.total_cases,
-            "compile_success": self.compile_success,
-            "fixable_failures": self.fixable_failures,
-            "excluded_unparallelizable": self.excluded_unparallelizable,
-            "effective_success_rate": self.effective_success_rate,
-        }
 
 
 def summarize(reports: list[ValidationReport]) -> RunSummary:
@@ -251,7 +242,7 @@ def validate_and_report(
     summary = summarize(reports)
     save_jsonl(reports, out_dir / "reports.jsonl")
     (out_dir / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(summary), indent=2) + "\n", encoding="utf-8"
     )
     (out_dir / "summary.txt").write_text(render_summary(summary, reports), encoding="utf-8")
     return reports, summary
@@ -331,12 +322,12 @@ def report(reports: list[ValidationReport], fmt: str = "text") -> str:
     if fmt == "text":
         return render_summary(summary, reports)
     if fmt == "json":
-        payload = summary.to_dict()
+        payload = asdict(summary)
         payload["failure_categories"] = category_counts(reports)
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         lines = ["metric,value"]
-        for key, value in summary.to_dict().items():
+        for key, value in asdict(summary).items():
             rendered = "" if value is None else value
             lines.append(f"{key},{rendered}")
         for name, count in category_counts(reports).items():

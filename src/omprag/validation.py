@@ -22,7 +22,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path, PurePosixPath
 
@@ -79,17 +79,6 @@ class ValidationReport:
                 f"report {self.case_id!r}: differential verdict without a successful compile"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "compile_ok": self.compile_ok,
-            "failure_category": self.failure_category.value if self.failure_category else None,
-            "diagnostics": self.diagnostics,
-            "differential_verdict": self.differential_verdict.value,
-            "threads_tested": list(self.threads_tested),
-            "excluded_unparallelizable": self.excluded_unparallelizable,
-        }
-
     @classmethod
     def from_dict(cls, record: dict) -> "ValidationReport":
         category = record.get("failure_category")
@@ -107,8 +96,8 @@ class ValidationReport:
 
 
 def save_jsonl(records: list, path: Path | str) -> None:
-    """Write one JSON object per line, from each record's ``to_dict()``."""
-    lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in records]
+    """Write one JSON object per line, from each record's dataclass fields."""
+    lines = [json.dumps(asdict(r), ensure_ascii=False) for r in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -611,14 +600,6 @@ class CaseSpec:
     serial_path: str
     input_args: list[str] = field(default_factory=list)
     unparallelizable: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "serial_path": self.serial_path,
-            "input_args": list(self.input_args),
-            "unparallelizable": self.unparallelizable,
-        }
 
     @classmethod
     def from_dict(cls, record: dict) -> "CaseSpec":
