@@ -170,7 +170,17 @@ class ReplayProvider:
                 f"no recorded reply for case {request.case_id!r} under {self.replay_dir}",
                 case_id=request.case_id,
             )
-        record = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            record = None
+        if not (isinstance(record, dict) and isinstance(record.get("prompt_sha256"), str)
+                and isinstance(record.get("raw_reply"), str)):
+            raise ReplayMissError(
+                f"recorded reply for case {request.case_id!r} is malformed: {path} is not a "
+                "UTF-8 JSON object with string 'prompt_sha256' and 'raw_reply'",
+                case_id=request.case_id,
+            )
         expected = prompt_sha256(request.prompt)
         if record.get("prompt_sha256") != expected:
             raise ReplayMissError(

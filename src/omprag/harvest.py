@@ -108,7 +108,10 @@ class FixtureQaApi:
                 f"no recorded page for category {category!r} page {page} under "
                 f"{self.fixture_dir}"
             )
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ParseError(f"{path}: recorded page is not UTF-8 JSON: {exc}") from exc
 
 
 class HttpQaApi:
@@ -209,8 +212,10 @@ def _statement_names(statement: str) -> list[str]:
     ]
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on sep outside parens/brackets/braces and string literals."""
+def _split_top_level(text: str, sep: str, *, braces: bool = True) -> list[str]:
+    """Split on sep outside parens, brackets, string and char literals, and
+    (when braces is true) braces."""
+    opening, closing = ("([{", ")]}") if braces else ("([", ")]")
     parts: list[str] = []
     depth = 0
     quote: str | None = None
@@ -228,10 +233,10 @@ def _split_top_level(text: str, sep: str) -> list[str]:
         elif ch in "\"'":
             quote = ch
             current += ch
-        elif ch in "([{":
+        elif ch in opening:
             depth += 1
             current += ch
-        elif ch in ")]}":
+        elif ch in closing:
             depth -= 1
             current += ch
         elif depth == 0 and text[i : i + len(sep)] == sep:
@@ -289,9 +294,11 @@ def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
         elif not _IO_RE.search(line) or re.match(r"\s*#\s*include\b", line):
             out_lines.append(line)
             continue
-        kept_statements: list[str] = []
-        statements = line.split(";")
+        # A ';' inside a for header or a literal ends no statement; one
+        # inside braces does, so a loop body's statements are seen one by one.
+        statements = _split_top_level(line, ";", braces=False)
         trailing = statements.pop()  # text after the final ';' (usually empty)
+        kept: list[str] = []
         for statement in statements:
             if _IO_RE.search(statement):
                 for name in _statement_names(statement):
@@ -302,12 +309,14 @@ def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
                         if expr not in printed:
                             printed.append(expr)
             else:
-                kept_statements.append(statement)
-        if kept_statements:
-            indent = re.match(r"\s*", line).group(0)
-            out_lines.append(indent + "; ".join(s.strip() for s in kept_statements) + ";")
-        if _IO_RE.search(trailing) and not trailing.rstrip().endswith(("}", "{")):
+                kept.append(statement.strip() + ";")
+        if not _IO_RE.search(trailing):
+            kept.append(trailing.strip())
+        elif not trailing.rstrip().endswith(("}", "{")):
             pending = trailing
+        text = " ".join(k for k in kept if k)
+        if text:
+            out_lines.append(re.match(r"\s*", line).group(0) + text)
     return "\n".join(out_lines), printed, removed
 
 

@@ -194,13 +194,18 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         log.warning("serial source for %s no longer reads or compiles; skipping differential",
                     case.case_id)
         return ValidationReport(case.case_id, True, diagnostics=parallel.diagnostics)
-    verdict = differential_validate(
-        serial.binary,
-        parallel.binary,
-        list(cfg.differential_threads),
-        case.input_args,
-        timeout=cfg.run_timeout,
-    )
+    try:
+        verdict = differential_validate(
+            serial.binary,
+            parallel.binary,
+            list(cfg.differential_threads),
+            case.input_args,
+            timeout=cfg.run_timeout,
+        )
+    except InvalidInputError as exc:  # the serial reference failed; nothing to compare
+        note = f"{exc}; differential check skipped"
+        return ValidationReport(case.case_id, True, diagnostics="\n".join(
+            filter(None, [parallel.diagnostics.rstrip("\n"), note])))
     return ValidationReport(case.case_id, True, None, parallel.diagnostics, verdict,
                             list(cfg.differential_threads))
 

@@ -570,12 +570,17 @@ def differential_validate(
     *,
     timeout: float = DEFAULT_RUN_TIMEOUT,
 ) -> Verdict:
-    """Pass iff the parallel output matches serial at every thread count."""
+    """Pass iff the parallel output matches serial at every thread count.
+
+    The serial binary is the reference: when it exits non-zero or times out
+    there is nothing to compare against, and InvalidInputError says which.
+    """
     input_args = list(input_args or [])
     code, serial_out, _ = _run_binary(serial_binary, input_args, timeout)
     if code != 0:
         log.warning("serial binary %s exited with %s", serial_binary, code)
-        return Verdict.RUNTIME_ERROR
+        outcome = f"timed out after {timeout:g}s" if code is None else f"exited with {code}"
+        raise InvalidInputError(f"serial reference {outcome}")
     for threads in thread_counts:
         code, parallel_out, _ = _run_binary(parallel_binary, input_args, timeout, threads=threads)
         if code != 0:

@@ -17,6 +17,7 @@ from omprag.harvest import (
     HttpQaApi,
     RejectionReason,
     SnippetCandidate,
+    _strip_io_statements,
     build_case_manifest,
     clean_and_filter,
     compile_filter,
@@ -74,6 +75,16 @@ class TestFetch:
         (tmp_path / "histogram_p1.json").write_text(json.dumps({"items": [], "has_more": True}))
         with pytest.raises(ParseError, match="category 'histogram' page 2"):
             fetch_candidates("histogram", max_pages=2, api=FixtureQaApi(tmp_path))
+
+    def test_a_page_that_is_not_json_is_a_parse_error_naming_the_file(self, tmp_path, capsys):
+        page = tmp_path / "pages" / "histogram_p1.json"
+        page.parent.mkdir()
+        page.write_text('{"items": [')
+        assert cli_main(["harvest", "--fixture-dir", str(page.parent), "--categories",
+                         "histogram", "--cases-dir", str(tmp_path / "cases"),
+                         "--case-manifest", str(tmp_path / "cases.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {page}: recorded page is not UTF-8 JSON: ")
 
     def test_items_of_the_wrong_shape_are_skipped(self, tmp_path, caplog):
         good = {"link": "https://example.com/q/7", "body": "```\nint x = 1;\n```"}
@@ -251,6 +262,24 @@ class TestCleanAndFilter:
         assert out.rejection_reason is None
         assert "<< s <<" not in out.cleaned_code and "s);" not in out.cleaned_code
         assert 'std::cout << "RESULT s=" << (s) << "\\n";' in out.cleaned_code
+
+    @pytest.mark.parametrize("line, cleaned, printed", [
+        ("    std::cout << n; for (int i = 0; i < n; ++i) {",
+         "    for (int i = 0; i < n; ++i) {", ["n"]),
+        ('    for (int i = 0; i < n; ++i) { sum += a[i]; printf("%d", i); }',
+         "    for (int i = 0; i < n; ++i) { sum += a[i]; }", ["i"]),
+        ("    for (int i = 0; i < n; ++i) std::cout << a[i] << std::endl;", "", ["a[i]"]),
+        ('    printf("a;b %d\\n", x); y = 2;', "    y = 2;", ["x"]),
+    ])
+    def test_only_io_statements_leave_a_line(self, line, cleaned, printed):
+        """A ';' in a for header or a string ends no statement, and the text
+        after a line's last ';' stays unless it holds I/O."""
+        code, got_printed, _ = _strip_io_statements(line)
+        assert (code, got_printed) == (cleaned, printed)
+
+    def test_printed_expressions_keep_braced_initialisers_whole(self):
+        _, printed, _ = _strip_io_statements('    printf("%d %d", T{1, 2}.x, f(a, b));')
+        assert printed == ["T{1, 2}.x", "f(a, b)"]
 
     def test_idempotent_on_survivors(self):
         for name in ("accept_1.cc", "accept_2.cc"):

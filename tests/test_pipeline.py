@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from omprag.pipeline import (
     report,
     run_pipeline,
     summarize,
+    transform_cases,
     validate_and_report,
 )
 from omprag.validation import (
@@ -347,6 +349,30 @@ def test_an_embedding_provider_error_is_a_report(mini_env, cc, tmp_path):
         "generation failed: cannot embed serial source: embedding endpoint returned 503"] * 2
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda record: b"{not json",
+    lambda record: b"\xff" + json.dumps(record).encode(),
+    lambda record: b"[]",
+    lambda record: json.dumps({**record, "raw_reply": None}).encode(),
+    lambda record: json.dumps({"case_id": "case2", "raw_reply": "x"}).encode(),
+], ids=["not_json", "not_utf8", "not_an_object", "no_string_reply", "no_prompt_hash"])
+def test_a_malformed_replay_record_is_that_cases_failure(mini_env, tmp_path, no_network,
+                                                        corrupt):
+    replay = tmp_path / "replay"
+    shutil.copytree(mini_env.replay_dirs["rag"], replay)
+    record = replay / "case2.json"
+    record.write_bytes(corrupt(json.loads(record.read_text(encoding="utf-8"))))
+    deps = _deps(mini_env, "rag")
+    deps.provider = ReplayProvider(replay)
+    transform_cases(mini_env.cases[:2], PipelineConfig(), deps, tmp_path / "o")
+    cases = tmp_path / "o" / "cases"
+    assert (cases / "case1" / "generated.cpp").is_file()
+    assert not (cases / "case2" / "reply.txt").exists()
+    assert (cases / "case2" / "transform_error.txt").read_text(encoding="utf-8") == (
+        f"recorded reply for case 'case2' is malformed: {record} is not a UTF-8 JSON "
+        "object with string 'prompt_sha256' and 'raw_reply'\n")
+
+
 def test_a_query_from_another_vector_space_still_aborts(mini_env, tmp_path):
     deps = _deps(mini_env, "rag")
     deps.embedder = HashedTfidfEmbedder(dimension=64).fit(c.body for c in mini_env.manifest.chunks)
@@ -366,6 +392,41 @@ def test_a_serial_source_gone_before_validation_skips_the_differential(tmp_path)
     (report,), _ = validate_and_report([CaseSpec("gone", str(tmp_path / "gone.cc"))], cfg, out)
     assert report.compile_ok
     assert report.differential_verdict is Verdict.SKIPPED
+
+
+# Builds a "binary" that is the source itself, run as a shell script.
+_SCRIPT_COMPILER = """
+import os, shutil, sys
+shutil.copy(sys.argv[1], sys.argv[2])
+os.chmod(sys.argv[2], 0o755)
+"""
+
+
+@pytest.mark.parametrize("serial_tail, outcome", [
+    ("exit 3", "exited with 3"),
+    ("exec sleep 30", "timed out after 1s"),
+])
+def test_a_failing_serial_reference_skips_the_differential(tmp_path, caplog, serial_tail,
+                                                           outcome):
+    """The generated code is not blamed for a reference that cannot run."""
+    compiler = tmp_path / "script_cc.py"
+    compiler.write_text(_SCRIPT_COMPILER)
+    cfg = PipelineConfig(compile_cmd=f"{shlex.quote(sys.executable)} "
+                                     f"{shlex.quote(str(compiler))} {{src}} {{bin}}",
+                         run_timeout=1.0, differential_threads=(1, 2))
+    serial = tmp_path / "serial.cc"
+    serial.write_text(f"#!/bin/sh\necho RESULT 1\n{serial_tail}\n")
+    out = tmp_path / "o"
+    (out / "cases" / "a").mkdir(parents=True)
+    (out / "cases" / "a" / "generated.cpp").write_text("#!/bin/sh\necho RESULT 1\n")
+    (report,), _ = validate_and_report([CaseSpec("a", str(serial))], cfg, out)
+    assert (report.compile_ok, report.failure_category, report.differential_verdict,
+            report.threads_tested) == (True, None, Verdict.SKIPPED, [])
+    assert report.diagnostics.splitlines()[-1] == (
+        f"serial reference {outcome}; differential check skipped")
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"serial binary {out / 'cases' / 'a' / 'build_serial' / 'case.bin'} exited with "
+        f"{3 if serial_tail == 'exit 3' else None}"]
 
 
 @requires_compiler
