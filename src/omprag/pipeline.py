@@ -203,9 +203,8 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
             timeout=cfg.run_timeout,
         )
     except InvalidInputError as exc:  # the serial reference failed; nothing to compare
-        note = f"{exc}; differential check skipped"
-        return ValidationReport(case.case_id, True, diagnostics="\n".join(
-            filter(None, [parallel.diagnostics.rstrip("\n"), note])))
+        lines = [*parallel.diagnostics.splitlines(), f"{exc}; differential check skipped"]
+        return ValidationReport(case.case_id, True, diagnostics="\n".join(lines))
     return ValidationReport(case.case_id, True, None, parallel.diagnostics, verdict,
                             list(cfg.differential_threads))
 
