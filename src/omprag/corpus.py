@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -100,7 +100,7 @@ class CorpusManifest:
             {"corpus_version": self.corpus_version, "created_at": self.created_at},
             ensure_ascii=False,
         )
-        lines = [header] + [json.dumps(asdict(chunk), ensure_ascii=False) for chunk in self.chunks]
+        lines = [header] + [json.dumps(vars(chunk), ensure_ascii=False) for chunk in self.chunks]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod

@@ -55,6 +55,7 @@ _DECL_RE = re.compile(
     r"^\s*(?:unsigned\s+|signed\s+|long\s+|short\s+|const\s+)*"
     r"(?:int|long|short|float|double|char|bool|auto|size_t|std::\w+)\b[^=;()]*\b(\w+)\s*$"
 )
+_LOOP_VAR_RE = re.compile(r"\bfor\s*\(\s*(?:[\w:<>]+[\s&*]+)+(\w+)\s*[=:;]")
 _IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 _NOT_PRINTABLE = {
     "std", "cout", "cin", "cerr", "clog", "endl", "printf", "scanf", "puts",
@@ -250,6 +251,35 @@ def _split_top_level(text: str, sep: str, *, braces: bool = True) -> list[str]:
     return parts
 
 
+def _shared_braces_end(statement: str) -> int:
+    """Length of the statement's prefix through its last brace that the
+    statement itself leaves unmatched (0 when there is none): the block
+    structure it shares with the rest of its line, as in ``if (v) {`` of
+    ``if (v) { std::cout << v``."""
+    opened: list[int] = []
+    end = 0
+    quote: str | None = None
+    i = 0
+    while i < len(statement):
+        ch = statement[i]
+        if quote:
+            if ch == "\\":
+                i += 1
+            elif ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "{":
+            opened.append(i)
+        elif ch == "}":
+            if opened:
+                opened.pop()
+            else:
+                end = i + 1
+        i += 1
+    return max(end, opened[-1] + 1 if opened else 0)
+
+
 _MANIPULATORS = {"endl", "std::endl", "flush", "std::flush", "ends", "std::ends"}
 
 
@@ -301,6 +331,10 @@ def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
         kept: list[str] = []
         for statement in statements:
             if _IO_RE.search(statement):
+                # keep the braces it shares with the line, so they stay balanced
+                shared = _shared_braces_end(statement)
+                kept.append(statement[:shared].strip())
+                statement = statement[shared:]
                 for name in _statement_names(statement):
                     if name not in removed:
                         removed.append(name)
@@ -339,10 +373,12 @@ def _drop_unreferenced_decls(code: str, candidates: list[str]) -> str:
 def _inject_result_harness(code: str, printed: list[str]) -> str:
     """Reintroduce one canonical print per previously-printed expression so
     differential validation has deterministic output to compare."""
+    loop_vars = set(_LOOP_VAR_RE.findall(code))  # out of scope where the prints go
+
     def still_live(expr: str) -> bool:
         names = [n for n in _IDENT_RE.findall(expr) if n not in _NOT_PRINTABLE]
         return bool(names) and all(
-            re.search(rf"\b{re.escape(n)}\b", code) for n in names
+            n not in loop_vars and re.search(rf"\b{re.escape(n)}\b", code) for n in names
         )
 
     live = [expr for expr in printed if still_live(expr)]

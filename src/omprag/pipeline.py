@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import PROFILE_RAG, PipelineConfig
@@ -32,6 +32,7 @@ from .tables import render_table
 from .validation import (
     CaseSpec,
     ValidationReport,
+    Verdict,
     classify_failure,
     compile_gate,
     differential_validate,
@@ -194,16 +195,17 @@ def validate_case(case: CaseSpec, cfg: PipelineConfig, out_dir: Path) -> Validat
         log.warning("serial source for %s no longer reads or compiles; skipping differential",
                     case.case_id)
         return ValidationReport(case.case_id, True, diagnostics=parallel.diagnostics)
-    try:
-        verdict = differential_validate(
-            serial.binary,
-            parallel.binary,
-            list(cfg.differential_threads),
-            case.input_args,
-            timeout=cfg.run_timeout,
-        )
-    except InvalidInputError as exc:  # the serial reference failed; nothing to compare
-        lines = [*parallel.diagnostics.splitlines(), f"{exc}; differential check skipped"]
+    notes: list[str] = []
+    verdict = differential_validate(
+        serial.binary,
+        parallel.binary,
+        list(cfg.differential_threads),
+        case.input_args,
+        timeout=cfg.run_timeout,
+        notes=notes,
+    )
+    if verdict is Verdict.SKIPPED:  # the serial reference failed; nothing to compare
+        lines = [*parallel.diagnostics.splitlines(), *notes]
         return ValidationReport(case.case_id, True, diagnostics="\n".join(lines))
     return ValidationReport(case.case_id, True, None, parallel.diagnostics, verdict,
                             list(cfg.differential_threads))
@@ -246,7 +248,7 @@ def validate_and_report(
     summary = summarize(reports)
     save_jsonl(reports, out_dir / "reports.jsonl")
     (out_dir / "summary.json").write_text(
-        json.dumps(asdict(summary), indent=2) + "\n", encoding="utf-8"
+        json.dumps(vars(summary), indent=2) + "\n", encoding="utf-8"
     )
     (out_dir / "summary.txt").write_text(render_summary(summary, reports), encoding="utf-8")
     return reports, summary
@@ -326,12 +328,12 @@ def report(reports: list[ValidationReport], fmt: str = "text") -> str:
     if fmt == "text":
         return render_summary(summary, reports)
     if fmt == "json":
-        payload = asdict(summary)
+        payload = dict(vars(summary))
         payload["failure_categories"] = category_counts(reports)
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         lines = ["metric,value"]
-        for key, value in asdict(summary).items():
+        for key, value in vars(summary).items():
             rendered = "" if value is None else value
             lines.append(f"{key},{rendered}")
         for name, count in category_counts(reports).items():

@@ -22,7 +22,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path, PurePosixPath
 
@@ -97,7 +97,7 @@ class ValidationReport:
 
 def save_jsonl(records: list, path: Path | str) -> None:
     """Write one JSON object per line, from each record's dataclass fields."""
-    lines = [json.dumps(asdict(r), ensure_ascii=False) for r in records]
+    lines = [json.dumps(vars(r), ensure_ascii=False) for r in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -569,18 +569,22 @@ def differential_validate(
     input_args: list[str] | None = None,
     *,
     timeout: float = DEFAULT_RUN_TIMEOUT,
+    notes: list[str] | None = None,
 ) -> Verdict:
     """Pass iff the parallel output matches serial at every thread count.
 
     The serial binary is the reference: when it exits non-zero or times out
-    there is nothing to compare against, and InvalidInputError says which.
+    there is nothing to compare against, so the verdict is Skipped, and a
+    line saying which is appended to ``notes`` when it is given.
     """
     input_args = list(input_args or [])
     code, serial_out, _ = _run_binary(serial_binary, input_args, timeout)
     if code != 0:
         log.warning("serial binary %s exited with %s", serial_binary, code)
-        outcome = f"timed out after {timeout:g}s" if code is None else f"exited with {code}"
-        raise InvalidInputError(f"serial reference {outcome}")
+        if notes is not None:
+            outcome = f"timed out after {timeout:g}s" if code is None else f"exited with {code}"
+            notes.append(f"serial reference {outcome}; differential check skipped")
+        return Verdict.SKIPPED
     for threads in thread_counts:
         code, parallel_out, _ = _run_binary(parallel_binary, input_args, timeout, threads=threads)
         if code != 0:

@@ -270,10 +270,16 @@ class TestCleanAndFilter:
          "    for (int i = 0; i < n; ++i) { sum += a[i]; }", ["i"]),
         ("    for (int i = 0; i < n; ++i) std::cout << a[i] << std::endl;", "", ["a[i]"]),
         ('    printf("a;b %d\\n", x); y = 2;', "    y = 2;", ["x"]),
+        ("    if (v) { std::cout << v; }", "    if (v) { }", ["v"]),
+        ("    for (int i = 0; i < n; ++i) { std::cout << a[i]; }",
+         "    for (int i = 0; i < n; ++i) { }", ["a[i]"]),
+        ('    if (a) { x = 1; } printf("%d", x);', "    if (a) { x = 1; }", ["x"]),
+        ('    } else { printf("%d", k); }', "    } else { }", ["k"]),
     ])
     def test_only_io_statements_leave_a_line(self, line, cleaned, printed):
-        """A ';' in a for header or a string ends no statement, and the text
-        after a line's last ';' stays unless it holds I/O."""
+        """A ';' in a for header or a string ends no statement, the text
+        after a line's last ';' stays unless it holds I/O, and a dropped
+        statement keeps the braces it shares with the line."""
         code, got_printed, _ = _strip_io_statements(line)
         assert (code, got_printed) == (cleaned, printed)
 
@@ -322,6 +328,36 @@ class TestCompileFilterAndManifest:
         rejected = compile_filter(cleaned, tmp_path / "gate")
         assert rejected.rejection_reason is RejectionReason.COMPILE_FAIL
         assert rejected.cleaned_code is None
+
+    @pytest.mark.parametrize("loop_print", [
+        ["    for (int i = 0; i < n; ++i) {", "        std::cout << a[i] << std::endl;", "    }"],
+        ["    for (int i = 0; i < n; ++i) { std::cout << a[i]; }"],
+        ["    for (int i = 0; i < n; ++i) std::cout << a[i] << std::endl;"],
+        ["    if (s > 0) { std::cout << s; }"],
+    ])
+    def test_a_print_in_a_loop_or_block_leaves_a_snippet_that_compiles(self, tmp_path,
+                                                                     loop_print):
+        """A print's braces stay balanced, and a value indexed by a loop
+        variable is not reprinted where that variable is out of scope."""
+        code = "\n".join([
+            "#include <iostream>",
+            "#include <vector>",
+            "int main() {",
+            "    const int n = 8;",
+            "    std::vector<long> a(n);",
+            "    long s = 0;",
+            "    for (int i = 0; i < n; ++i) {",
+            "        a[i] = i * i;",
+            "        s += a[i];",
+            "    }",
+            *loop_print,
+            "    return 0;",
+            "}",
+        ])
+        cleaned = clean_and_filter(_candidate(code))
+        assert cleaned.rejection_reason is None
+        assert "a_i" not in cleaned.cleaned_code
+        assert compile_filter(cleaned, tmp_path / "gate").rejection_reason is None
 
     def test_sequential_ids_respect_start_index(self, tmp_path):
         code = (FIXTURES / "snippets" / "accept_1.cc").read_text()

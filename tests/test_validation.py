@@ -236,6 +236,14 @@ class TestDifferential:
         bad = self._build(tmp_path, "bad", _printer(r'"v=1\n"', code=3))
         assert differential_validate(good, bad, [1]) is Verdict.RUNTIME_ERROR
 
+    def test_failing_serial_reference_is_skipped_with_a_note(self, tmp_path):
+        good = self._build(tmp_path, "good", _printer(r'"v=1\n"'))
+        bad = self._build(tmp_path, "bad", _printer(r'"v=1\n"', code=3))
+        notes: list[str] = []
+        assert differential_validate(bad, good, [1], notes=notes) is Verdict.SKIPPED
+        assert notes == ["serial reference exited with 3; differential check skipped"]
+        assert differential_validate(bad, good, [1]) is Verdict.SKIPPED
+
     def test_timeout_is_runtime_error(self, tmp_path):
         good = self._build(tmp_path, "good", _printer(r'"v=1\n"'))
         spin = self._build(
