@@ -213,41 +213,42 @@ def _statement_names(statement: str) -> list[str]:
     ]
 
 
+def _outside_literals(text: str):
+    """(index, char) of every character outside string and char literals."""
+    quote: str | None = None
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if quote:
+            if ch == "\\":
+                i += 1
+            elif ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        else:
+            yield i, ch
+        i += 1
+
+
 def _split_top_level(text: str, sep: str, *, braces: bool = True) -> list[str]:
     """Split on sep outside parens, brackets, string and char literals, and
     (when braces is true) braces."""
     opening, closing = ("([{", ")]}") if braces else ("([", ")]")
     parts: list[str] = []
     depth = 0
-    quote: str | None = None
-    current = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quote:
-            current += ch
-            if ch == "\\":
-                current += text[i + 1 : i + 2]
-                i += 1
-            elif ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            current += ch
-        elif ch in opening:
+    start = 0
+    for i, ch in _outside_literals(text):
+        if i < start:
+            continue  # inside the separator just split on
+        if ch in opening:
             depth += 1
-            current += ch
         elif ch in closing:
             depth -= 1
-            current += ch
-        elif depth == 0 and text[i : i + len(sep)] == sep:
-            parts.append(current)
-            current = ""
-            i += len(sep) - 1
-        else:
-            current += ch
-        i += 1
-    parts.append(current)
+        elif depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            start = i + len(sep)
+    parts.append(text[start:])
     return parts
 
 
@@ -258,25 +259,14 @@ def _shared_braces_end(statement: str) -> int:
     ``if (v) { std::cout << v``."""
     opened: list[int] = []
     end = 0
-    quote: str | None = None
-    i = 0
-    while i < len(statement):
-        ch = statement[i]
-        if quote:
-            if ch == "\\":
-                i += 1
-            elif ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "{":
+    for i, ch in _outside_literals(statement):
+        if ch == "{":
             opened.append(i)
         elif ch == "}":
             if opened:
                 opened.pop()
             else:
                 end = i + 1
-        i += 1
     return max(end, opened[-1] + 1 if opened else 0)
 
 
