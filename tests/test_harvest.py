@@ -508,3 +508,39 @@ def test_cli_harvest_gates_with_the_configured_compiler(tmp_path, monkeypatch, s
     # one serial compile (no -fopenmp) per survivor of the cleaning filters
     assert log.read_text().splitlines() == ["-std=c++17 -O2 case.cpp -o case.bin"] * 2
     assert len(load_case_manifest(tmp_path / "cases.jsonl")) == 2
+
+
+def _cleaning_digest(rows) -> str:
+    """SHA-256 over json.dumps([key, reason or "ok", cleaned_code]) of each row."""
+    digest = hashlib.sha256()
+    for key, code in rows:
+        out = clean_and_filter(SnippetCandidate(origin_url=key, category="", raw_code=code))
+        reason = out.rejection_reason.value if out.rejection_reason else "ok"
+        digest.update(json.dumps([key, reason, out.cleaned_code]).encode())
+    return digest.hexdigest()
+
+
+def test_cleaning_keeps_the_bytes_of_the_benchmark_candidates_and_fixture_snippets():
+    """The cleaned text of the 330 benchmark harvest candidates (seeds 1-5 x
+    rounds 0-5: 210 survivors, 30 of each of four rejections) and of the
+    fixture snippets, pinned as the cleaner wrote them before it scanned
+    statements."""
+    import random
+
+    from perfbench import gen
+
+    rows = []
+    for seed in range(1, 6):
+        for r in range(6):
+            files, _ = gen.harvest_pages(random.Random(f"suite:{seed}:{r}"), CATEGORIES, r,
+                                         (r + 1) * 1000, survivors=len(gen.FAMILIES),
+                                         baseline_faults=1)
+            rows += [(item["link"], block) for page in files.values()
+                     for item in page["items"]
+                     for block in extract_code_blocks(item["body_markdown"])]
+    assert len(rows) == 330
+    assert _cleaning_digest(rows) == (
+        "b38f030398b10c586272dc145aae54239439970c944dbc15ab513a0cb3b56ea9")
+    snippets = [(p.name, p.read_text()) for p in sorted((FIXTURES / "snippets").glob("*.cc"))]
+    assert _cleaning_digest(snippets) == (
+        "9fbe88e8474498fdd4d6a8eba895b41018de214bc9744cd7d226e02ff4c2e6a1")
