@@ -31,7 +31,7 @@ from .bench import (
 from .config import PROFILES, PipelineConfig, load_config
 from .corpus import CorpusManifest, ingest_corpus
 from .embedding import HashedTfidfEmbedder, RemoteEmbedder
-from .errors import EnvironmentFailure, OmpragError, UsageError
+from .errors import EnvironmentFailure, OmpragError, ParseError, UsageError
 from .generation import ChatHttpProvider, RecordingProvider, ReplayProvider
 from .harvest import CATEGORIES, FixtureQaApi, HttpQaApi, harvest_cases
 from .index import VectorIndex, build_index
@@ -54,6 +54,21 @@ def builtin_corpus_dir() -> Path:
 
 def builtin_keywords_path() -> Path:
     return Path(__file__).parent / "data" / "harvest_keywords.json"
+
+
+def _load_keywords(path: Path) -> dict[str, str]:
+    """A keywords file: a JSON object that maps each category to its query."""
+    try:
+        keywords = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the keywords file: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"{path}: keywords file is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(keywords, dict) or not all(
+        isinstance(v, str) for v in keywords.values()
+    ):
+        raise ParseError(f"{path}: keywords file is not an object that maps strings to strings")
+    return keywords
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -107,11 +122,10 @@ def cmd_harvest(args: argparse.Namespace) -> int:
         api = FixtureQaApi(args.fixture_dir)
     elif args.endpoint:
         keywords_path = Path(args.keywords) if args.keywords else builtin_keywords_path()
-        keywords = json.loads(keywords_path.read_text(encoding="utf-8"))
         api = HttpQaApi(
             args.endpoint,
             os.environ.get("OMPRAG_QA_API_KEY"),
-            keywords=keywords,
+            keywords=_load_keywords(keywords_path),
         )
     else:
         raise UsageError("harvest needs --fixture-dir (offline) or --endpoint (live)")

@@ -507,9 +507,21 @@ def normalize_output(text: str) -> list[str]:
     return lines
 
 
+def _exact_int(token: str) -> int | None:
+    """The value of an integer token (no point, no exponent) below 2**53 in
+    magnitude; None otherwise. Above 2**53 a double with an integral value
+    prints under %.17g as an integer, so two summation orders can print two
+    different integers there."""
+    if not token.lstrip("+-").isdigit():
+        return None
+    value = int(token)
+    return value if abs(value) < 2**53 else None
+
+
 def _lines_match(expected: str, actual: str) -> bool:
-    """Numbers embedded anywhere in the line compare within tolerance; the
-    surrounding text must match exactly (modulo whitespace runs)."""
+    """Numbers embedded anywhere in the line compare within tolerance, and
+    two small integers exactly; the surrounding text must match exactly
+    (modulo whitespace runs)."""
     exp = " ".join(expected.split())
     act = " ".join(actual.split())
     if exp == act:
@@ -517,6 +529,11 @@ def _lines_match(expected: str, actual: str) -> bool:
     if _NUMBER_RE.sub("<num>", exp) != _NUMBER_RE.sub("<num>", act):
         return False
     for e, a in zip(_NUMBER_RE.findall(exp), _NUMBER_RE.findall(act)):
+        ie, ia = _exact_int(e), _exact_int(a)
+        if ie is not None and ia is not None:
+            if ie != ia:
+                return False
+            continue
         fe, fa = float(e), float(a)
         if not abs(fe - fa) <= 1e-9 + DEFAULT_REL_TOL * max(abs(fe), abs(fa)):
             return False

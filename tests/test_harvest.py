@@ -124,6 +124,22 @@ class TestFetch:
         api.fetch_page("histogram", 1)
         assert "c%2B%2B+histogram+counting" in server.requests_seen[0]["path"]
 
+    @pytest.mark.parametrize("content", [
+        None, b'{"histogram": ', b'{"histogram": "\xff"}', b'["histogram"]',
+        b'{"histogram": ["c++", "histogram"]}',
+    ], ids=["missing", "not-json", "not-utf8", "a-list", "a-list-value"])
+    def test_a_bad_keywords_file_is_a_parse_error_naming_it(self, tmp_path, capsys,
+                                                            scripted_server, content):
+        server = scripted_server([(200, {"items": [], "has_more": False})])
+        keywords = tmp_path / "keywords.json"
+        if content is not None:
+            keywords.write_bytes(content)
+        assert cli_main(["harvest", "--endpoint", server.url, "--keywords", str(keywords),
+                         "--categories", "histogram", "--cases-dir", str(tmp_path / "cases"),
+                         "--case-manifest", str(tmp_path / "cases.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {keywords}: ")
+        assert server.requests_seen == []
+
     def test_ten_categories(self):
         assert len(CATEGORIES) == 10
         assert "matrix multiplication" in CATEGORIES

@@ -192,6 +192,27 @@ class TestOutputsMatch:
         # stays under the 1e-9 absolute floor, so every value must pass
         assert outputs_match(f"{value:.12f}", f"{value + eps:.12f}")
 
+    @pytest.mark.parametrize("expected, actual", [
+        ("hist[3] = 2500000\n", "hist[3] = 2499998\n"),
+        ("RESULT 1000000000\n", "RESULT 1000000001\n"),
+    ])
+    def test_a_small_integer_error_is_a_mismatch(self, expected, actual):
+        assert not outputs_match(expected, actual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=4),
+           st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=4))
+    def test_integers_below_two_to_the_53_match_only_when_equal(self, xs, ys):
+        ys = ys[: len(xs)] + xs[len(ys):]  # the same count of numbers on each side
+        line = lambda values: "RESULT " + " ".join(map(str, values))
+        assert outputs_match(line(xs), line(ys)) == (xs == ys)
+
+    def test_large_integers_and_integer_decimal_pairs_keep_the_tolerance(self):
+        # a double with an integral value above 2**53 prints as an integer
+        assert outputs_match(f"RESULT {2**60}", f"RESULT {2**60 + 2**10}")
+        assert outputs_match("RESULT 1000000000", "RESULT 1000000000.5")
+        assert not outputs_match("RESULT 1000", "RESULT 1001.5")
+
 
 # --------------------------------------------------------------------------
 # differential validation (needs g++)
@@ -214,6 +235,13 @@ class TestDifferential:
         s = self._build(tmp_path, "serial", serial, openmp=False)
         p = self._build(tmp_path, "parallel", parallel)
         assert differential_validate(s, p, [1, 2]) is Verdict.PASS
+
+    def test_float_reduction_printed_with_six_decimals_passes_at_8_threads(self, tmp_path):
+        serial = (FIXTURES / "cases" / "case2.cc").read_text()
+        parallel = (FIXTURES / "cases" / "case2_omp.cc").read_text()
+        s = self._build(tmp_path, "serial", serial, openmp=False)
+        p = self._build(tmp_path, "parallel", parallel)
+        assert differential_validate(s, p, [1, 8]) is Verdict.PASS
 
     def test_output_mismatch(self, tmp_path):
         a = self._build(tmp_path, "a", _printer(r'"v=%d\n", 1'))
