@@ -1,10 +1,13 @@
 """Snippet harvesting: keyword queries against a Q&A API, code extraction,
-cleaning filters, and compile gating into a case manifest.
+cleaning, filters, and compile gating into a case manifest.
 
-Filters apply in a fixed order — strip I/O statements, strip comment
-lines, require an #include, require a for-loop, require a minimum length,
-then the compile gate — and the first failed filter names the rejection.
-The live API is optional; recorded page fixtures keep tests offline.
+Cleaning scans a snippet once into statements and brace blocks, with each
+comment as whitespace. It drops I/O statements whole and reprints main's
+printed values as RESULT lines. Filters then apply in a fixed order —
+require an #include, a for-loop, a minimum length and a value left to
+print, then the compile gate — and the first failed one names the
+rejection. The live API is optional; recorded page fixtures keep tests
+offline.
 """
 
 from __future__ import annotations
@@ -40,29 +43,21 @@ CATEGORIES = (
 MIN_NONBLANK_LINES = 10
 CANONICAL_MARK = "// [canonical-output]"
 
-_IO_TOKENS = (
-    "std::cout", "std::cin", "std::cerr", "std::clog",
-    "cout", "cin", "cerr", "clog",
-    "printf", "fprintf", "sprintf", "scanf", "fscanf",
-    "puts", "putchar", "getchar", "getline", "fgets", "fputs",
-)
-_OUTPUT_TOKENS = ("cout", "printf", "puts", "putchar", "fprintf", "fputs")
-_IO_RE = re.compile(r"\b(" + "|".join(re.escape(t) for t in _IO_TOKENS) + r")\b")
-_OUTPUT_RE = re.compile(r"\b(" + "|".join(re.escape(t) for t in _OUTPUT_TOKENS) + r")\b")
 _INCLUDE_RE = re.compile(r"^\s*#\s*include\b", re.MULTILINE)
 _FOR_RE = re.compile(r"\bfor\s*\(")
-_DECL_RE = re.compile(
-    r"^\s*(?:unsigned\s+|signed\s+|long\s+|short\s+|const\s+)*"
-    r"(?:int|long|short|float|double|char|bool|auto|size_t|std::\w+)\b[^=;()]*\b(\w+)\s*$"
-)
-_LOOP_VAR_RE = re.compile(r"\bfor\s*\(\s*(?:[\w:<>]+[\s&*]+)+(\w+)\s*[=:;]")
-_IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+_OUTPUT_NAMES = {"cout", "printf", "puts", "putchar", "fprintf", "fputs"}
+_IO_NAMES = _OUTPUT_NAMES | {"cin", "cerr", "clog", "sprintf", "scanf", "fscanf", "getchar",
+                             "getline", "fgets"}
 _NOT_PRINTABLE = {
-    "std", "cout", "cin", "cerr", "clog", "endl", "printf", "scanf", "puts",
+    "std", "cout", "cin", "cerr", "clog", "endl", "flush", "ends", "printf", "scanf", "puts",
     "putchar", "fprintf", "fscanf", "getline", "stderr", "stdout", "if",
     "for", "while", "return", "const", "int", "long", "double", "float",
     "char", "bool", "void", "size_t", "auto",
 }
+_DECL_RE = re.compile(
+    r"^\s*(?:unsigned\s+|signed\s+|long\s+|short\s+|const\s+)*"
+    r"(?:int|long|short|float|double|char|bool|auto|size_t|std::\w+)\b[^=;(),]*\b(\w+)\s*$"
+)
 
 
 class RejectionReason(str, Enum):
@@ -71,6 +66,7 @@ class RejectionReason(str, Enum):
     TOO_SHORT = "TooShort"
     COMPILE_FAIL = "CompileFail"
     EMPTY = "Empty"
+    NO_OUTPUT = "NoOutput"
 
 
 @dataclass
@@ -198,205 +194,208 @@ def fetch_candidates(category: str, max_pages: int, api) -> list[SnippetCandidat
 # Cleaning and filtering
 # --------------------------------------------------------------------------
 
-def _strip_comments(code: str) -> str:
-    """Remove block comments and whole-line // comments; keep trailing ones."""
-    code = re.sub(r"/\*.*?\*/", "", code, flags=re.DOTALL)
-    kept = [line for line in code.split("\n") if not line.strip().startswith("//")]
-    return "\n".join(kept)
+# One C++ token, as a match whose lastgroup is its kind. A comment is a token,
+# so a kept line keeps it, but as in translation phase 3 it is whitespace.
+_TOKEN_RE = re.compile(r"""
+    (?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))
+  | (?P<directive>^[ \t]*\#(?:\\\n|[^\n])*)
+  | (?P<literal>(?:u8|[uUL])?R"(?P<delim>[^()\\\s]{0,16})\(.*?\)(?P=delim)"
+      | (?:u8|[uUL])?(?P<quote>["'])(?:\\.|(?!(?P=quote))[^\\\n])*(?P=quote)?)
+  | (?P<name>[A-Za-z_]\w*)
+  | (?P<number>\.?\d(?:[eEpP][+-]|'\w|[\w.])*)
+  | (?P<punct>::|->|<<|\S)
+""", re.MULTILINE | re.DOTALL | re.VERBOSE)
+_OPEN, _CLOSE = "([{", ")]}"
+_GONE = "\0"  # marks a dropped span until its line is judged
 
 
-def _statement_names(statement: str) -> list[str]:
-    return [
-        name
-        for name in _IDENT_RE.findall(re.sub(r'"[^"]*"', "", statement))
-        if name not in _NOT_PRINTABLE
-    ]
+@dataclass(eq=False)
+class _Stmt:
+    """A statement's tokens through its ';', or a block's header and '{'."""
+    tokens: list[re.Match]
+    parent: _Stmt | None  # the block it is in
+    end: int  # offset past its ';' or its block's '}'
+    outer: set[str]  # the names outside its brackets: no loop variable or parameter
+    dropped: bool = False
 
 
-def _outside_literals(text: str):
-    """(index, char) of every character outside string and char literals."""
-    quote: str | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quote:
-            if ch == "\\":
-                i += 1
-            elif ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        else:
-            yield i, ch
-        i += 1
-
-
-def _split_top_level(text: str, sep: str, *, braces: bool = True) -> list[str]:
-    """Split on sep outside parens, brackets, string and char literals, and
-    (when braces is true) braces."""
-    opening, closing = ("([{", ")]}") if braces else ("([", ")]")
-    parts: list[str] = []
+def _parse(code: str) -> tuple[list[re.Match], list[_Stmt]]:
+    """The code's comments, and its statements and blocks in source order. A
+    ';' or '}' inside brackets or braced initialisers ends no statement."""
+    tokens = list(_TOKEN_RE.finditer(code))
+    stmts: list[_Stmt] = []
+    blocks: list[_Stmt] = []  # the open ones
+    current: list[re.Match] = []
+    outer: set[str] = set()
     depth = 0
-    start = 0
-    for i, ch in _outside_literals(text):
-        if i < start:
-            continue  # inside the separator just split on
-        if ch in opening:
-            depth += 1
-        elif ch in closing:
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
-            parts.append(text[start:i])
-            start = i + len(sep)
-    parts.append(text[start:])
+    for tok in tokens:
+        kind, text = tok.lastgroup, tok[0]
+        parent = blocks[-1] if blocks else None
+        if kind == "comment":
+            continue
+        if kind == "directive":  # the name a #define gives
+            outer.update(text.lstrip(" \t#").split()[1:2])
+        if depth == 0 and text == "}" and blocks:
+            if current:
+                stmts.append(_Stmt(current, parent, current[-1].end(), outer))
+            blocks.pop().end, current, outer = tok.end(), [], set()
+        elif depth == 0 and (text == ";" or kind == "directive"):
+            stmts.append(_Stmt(current + [tok], parent, tok.end(), outer))
+            current, outer = [], set()
+        elif depth == 0 and text == "{" and not (current and current[-1][0] == "="):
+            blocks.append(_Stmt(current + [tok], parent, len(code), outer))
+            stmts.append(blocks[-1])
+            current, outer = [], set()
+        else:
+            if depth == 0 and kind == "name":
+                outer.add(text)
+            depth += (text in _OPEN) - (text in _CLOSE and depth > 0)
+            current.append(tok)
+    # a trailing fragment with no ';' is no statement: it stays as written
+    return [t for t in tokens if t.lastgroup == "comment"], stmts
+
+
+def _line_start(code: str, pos: int) -> int:
+    return code.rfind("\n", 0, pos) + 1
+
+
+def _split(tokens: list[re.Match], sep: str | None) -> list[list[re.Match]]:
+    """Split on sep outside brackets, up to the first unmatched closing one."""
+    parts: list[list[re.Match]] = [[]]
+    depth = 0
+    for tok in tokens:
+        depth += (tok[0] in _OPEN) - (tok[0] in _CLOSE)
+        if depth < 0:
+            break
+        if depth == 0 and tok[0] == sep:
+            parts.append([])
+        else:
+            parts[-1].append(tok)
     return parts
 
 
-def _shared_braces_end(statement: str) -> int:
-    """Length of the statement's prefix through its last brace that the
-    statement itself leaves unmatched (0 when there is none): the block
-    structure it shares with the rest of its line, as in ``if (v) {`` of
-    ``if (v) { std::cout << v``."""
-    opened: list[int] = []
-    end = 0
-    for i, ch in _outside_literals(statement):
-        if ch == "{":
-            opened.append(i)
-        elif ch == "}":
-            if opened:
-                opened.pop()
-            else:
-                end = i + 1
-    return max(end, opened[-1] + 1 if opened else 0)
+def _free_names(tokens: list[re.Match]) -> set[str]:
+    """The names an expression needs in scope: no keywords, members or qualified names."""
+    return {t[0] for prev, t in zip([" ", *tokens], tokens) if t.lastgroup == "name"
+            and t[0] not in _NOT_PRINTABLE and prev[0] not in (".", "->", "::")}
 
 
-_MANIPULATORS = {"endl", "std::endl", "flush", "std::flush", "ends", "std::ends"}
+def _printed_expressions(tokens: list[re.Match]) -> list[list[re.Match]]:
+    """The value expressions an output statement prints."""
+    tokens = tokens[:-1] if tokens[-1][0] == ";" else tokens
+    exprs: list[list[re.Match]] = []
+    if {t[0] for t in tokens} & {"cout", "cerr", "clog"}:
+        exprs += [p for p in _split(tokens, "<<")[1:] if p and p[0].lastgroup != "literal"]
+    for i, tok in enumerate(tokens[:-1]):
+        if tok[0] in ("printf", "fprintf") and tokens[i + 1][0] == "(":
+            args = _split(tokens[i + 2:], ",")
+            exprs += [a for a in args[2 if tok[0] == "fprintf" else 1:] if a]  # stream, format
+            break
+    return [e for e in exprs if _free_names(e)]  # only a variable's value is worth reprinting
 
 
-def _printed_expressions(statement: str) -> list[str]:
-    """Value expressions a removed output statement was printing."""
-    exprs: list[str] = []
-    if re.search(r"\b(?:std::)?(?:cout|cerr|clog)\b", statement):
-        for piece in _split_top_level(statement, "<<")[1:]:
-            piece = piece.strip()
-            if not piece or piece.startswith(('"', "'")) or piece in _MANIPULATORS:
-                continue
-            exprs.append(piece)
-    match = re.search(r"\b(f?printf)\s*\(", statement)
-    if match:
-        opening = statement.index("(", match.start())
-        args = _split_top_level(statement[opening + 1 :].rsplit(")", 1)[0], ",")
-        skip = 2 if match.group(1) == "fprintf" else 1  # stream and/or format
-        exprs.extend(a.strip() for a in args[skip:] if a.strip())
-    # only expressions that reference some identifier are worth reprinting
-    return [e for e in exprs if any(n not in _NOT_PRINTABLE for n in _IDENT_RE.findall(e))]
+def _reprint(code: str, expr: list[re.Match], stmt: _Stmt, main: _Stmt,
+             scope: set[str]) -> str | None:
+    """The harness line that reprints a value main printed, inside copies of the
+    for loops around it when it names their variables; None when a name it
+    needs is out of scope at the end of main."""
+    headers, block = [], stmt.parent
+    while block is not main:
+        headers.insert(0, block.tokens[:-1])
+        block = block.parent
+    if stmt.tokens[0][0] == "for":  # a loop whose body is the print
+        headers.append(stmt.tokens[:len(_split(stmt.tokens[2:], None)[0]) + 3])
+    needed, visible, loops = _free_names(expr), set(scope), ""
+    for header in headers if not needed <= scope else ():
+        declared = _free_names(_split(_split(header[2:], ";")[0], ":")[0])
+        if not header or header[0][0] != "for" or not _free_names(header) <= visible | declared:
+            return None
+        visible |= declared
+        loops += code[header[0].start():header[-1].end()] + " "
+    if not needed <= visible:
+        return None
+    text = code[expr[0].start():expr[-1].end()]
+    label = re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_")
+    return f'    {loops}std::cout << "RESULT {label}=" << ({text}) << "\\n"; {CANONICAL_MARK}'
 
 
-def _strip_io_statements(code: str) -> tuple[str, list[str], list[str]]:
-    """Drop statements that perform stream/printf I/O; keep co-located
-    declarations. Returns (code, printed, removed_names): the value
-    expressions that were being printed, and every identifier a removed
-    statement touched (used to prune declarations that lost their only
-    reference)."""
-    printed: list[str] = []
-    removed: list[str] = []
-    out_lines: list[str] = []
-    pending = ""  # an I/O statement that continues on later lines, so far
-    for line in code.split("\n"):
-        if CANONICAL_MARK in line:
-            out_lines.append(line)
-            continue
-        if pending:
-            pending += "\n" + line
-            if not line.rstrip().endswith(";"):
-                continue
-            line, pending = pending, ""  # the whole statement, as if on one line
-        elif not _IO_RE.search(line) or re.match(r"\s*#\s*include\b", line):
-            out_lines.append(line)
-            continue
-        # A ';' inside a for header or a literal ends no statement; one
-        # inside braces does, so a loop body's statements are seen one by one.
-        statements = _split_top_level(line, ";", braces=False)
-        trailing = statements.pop()  # text after the final ';' (usually empty)
-        kept: list[str] = []
-        for statement in statements:
-            if _IO_RE.search(statement):
-                # keep the braces it shares with the line, so they stay balanced
-                shared = _shared_braces_end(statement)
-                kept.append(statement[:shared].strip())
-                statement = statement[shared:]
-                for name in _statement_names(statement):
-                    if name not in removed:
-                        removed.append(name)
-                if _OUTPUT_RE.search(statement):
-                    for expr in _printed_expressions(statement):
-                        if expr not in printed:
-                            printed.append(expr)
-            else:
-                kept.append(statement.strip() + ";")
-        if not _IO_RE.search(trailing):
-            kept.append(trailing.strip())
-        elif not trailing.rstrip().endswith(("}", "{")):
-            pending = trailing
-        text = " ".join(k for k in kept if k)
-        if text:
-            out_lines.append(re.match(r"\s*", line).group(0) + text)
-    return "\n".join(out_lines), printed, removed
+def _drop(code: str, stmt: _Stmt) -> tuple[int, int, str]:
+    """Drop a statement; the edit takes the blanks that part it from its line."""
+    stmt.dropped = True
+    start, end = stmt.tokens[0].start(), stmt.end
+    if code[_line_start(code, start):start].strip():
+        return len(code[:start].rstrip(" \t")), end, _GONE
+    return start, len(code) - len(code[end:].lstrip(" \t")), _GONE
 
 
-def _drop_unreferenced_decls(code: str, candidates: list[str]) -> str:
-    """Drop bare declarations whose name is no longer referenced anywhere."""
-    lines = code.split("\n")
-    for idx, line in enumerate(lines):
-        match = _DECL_RE.match(line.rstrip(";").rstrip())
-        if not match:
-            continue
-        name = match.group(1)
-        if name not in candidates:
-            continue
-        rest = "\n".join(lines[:idx] + lines[idx + 1:])
-        if not re.search(rf"\b{re.escape(name)}\b", rest):
-            lines[idx] = ""
-    return "\n".join(line for line in lines if line != "")
+def _render(code: str, edits: list[tuple[int, int, str]]) -> str:
+    """The code with each (start, end, replacement) edit made, without empty
+    lines, whole-line comments and the lines a dropped span left blank."""
+    pieces: list[str] = []
+    pos = 0
+    for start, end, text in sorted(edits):
+        pieces += [code[pos:start], text]
+        pos = max(pos, end)
+    pieces.append(code[pos:])
+    lines = ((line, line.replace(_GONE, "")) for line in "".join(pieces).split("\n"))
+    return "\n".join(text for line, text in lines if not text.lstrip().startswith("//")
+                     and (text.strip() or line and _GONE not in line))
 
 
-def _inject_result_harness(code: str, printed: list[str]) -> str:
-    """Reintroduce one canonical print per previously-printed expression so
-    differential validation has deterministic output to compare."""
-    loop_vars = set(_LOOP_VAR_RE.findall(code))  # out of scope where the prints go
+def _clean_snippet(code: str) -> tuple[str, list[str], str | None]:
+    """Drop I/O statements, comments and the declarations only I/O used. A block
+    whose header does I/O, as ``while (std::cin >> x)``, goes whole; lines
+    marked CANONICAL_MARK stay, so a cleaned snippet cleans to itself. Returns
+    the cleaned code, the values the dropped output printed, and the cleaned
+    code with a harness that reprints main's values (None when it can't)."""
+    comments, stmts = _parse(code)
+    marked = {_line_start(code, t.start()) for t in comments if CANONICAL_MARK in t[0]}
+    edits = [(t.start(), t.end(), _GONE) for t in comments if t[0].startswith("/*")]
+    prints: list[tuple[list[re.Match], _Stmt]] = []
+    for stmt in stmts:
+        names = {t[0] for t in stmt.tokens if t.lastgroup == "name"}
+        if stmt.parent and stmt.parent.dropped:
+            stmt.dropped = True
+        elif names & _IO_NAMES and _line_start(code, stmt.tokens[0].start()) not in marked:
+            edits.append(_drop(code, stmt))
+            if names & _OUTPUT_NAMES:
+                prints += [(expr, stmt) for expr in _printed_expressions(stmt.tokens)]
+    removed = {t[0] for s in stmts if s.dropped for t in s.tokens if t.lastgroup == "name"}
+    kept = [s for s in stmts if not s.dropped]
+    uses = [t[0] for s in kept for t in s.tokens if t.lastgroup == "name"]
+    for stmt in kept:
+        decl = _DECL_RE.match(code[stmt.tokens[0].start():stmt.end].rstrip(";"))
+        if decl and decl[1] in removed and uses.count(decl[1]) == 1:
+            edits.append(_drop(code, stmt))
+    cleaned = _render(code, edits)
+    printed = list(dict.fromkeys(code[e[0].start():e[-1].end()] for e, _ in prints))
 
-    def still_live(expr: str) -> bool:
-        names = [n for n in _IDENT_RE.findall(expr) if n not in _NOT_PRINTABLE]
-        return bool(names) and all(
-            n not in loop_vars and re.search(rf"\b{re.escape(n)}\b", code) for n in names
-        )
-
-    live = [expr for expr in printed if still_live(expr)]
-    if not live:
-        return code
-    main_match = re.search(r"\bint\s+main\s*\([^)]*\)\s*{", code)
-    if not main_match:
-        return code
+    main = next((s for s in stmts if not s.parent and s.tokens[-1][0] == "{" and "main" in s.outer),
+                None)
+    if main is None:
+        return cleaned, printed, None
+    start = main.tokens[0].start()
+    scope = {name for s in stmts if not s.dropped and (s.parent is main or not s.parent
+                                                         and s.end <= start) for name in s.outer}
+    reprints = list(dict.fromkeys(filter(None, (_reprint(code, expr, stmt, main, scope)
+                                                for expr, stmt in prints
+                                                if start < stmt.end <= main.end))))
+    if not reprints:
+        return cleaned, printed, None
+    returns = [s for s in stmts if s.parent is main and not s.dropped and "return" in s.outer]
+    anchor = returns[-1].tokens[0].start() if returns else main.end - 1
+    pos = _line_start(code, anchor)
     # 17 significant digits (max_digits10) print a double exactly, so the
     # differential tolerance compares the values and not 6-digit roundings.
-    prints = [f"    std::cout.precision(17); {CANONICAL_MARK}"] + [
-        f'    std::cout << "RESULT {re.sub(r"[^A-Za-z0-9]+", "_", expr).strip("_")}=" '
-        f'<< ({expr}) << "\\n"; {CANONICAL_MARK}'
-        for expr in live
-    ]
-    return_match = None
-    for return_match in re.finditer(r"^\s*return\b[^;]*;", code, re.MULTILINE):
-        pass
-    if return_match and return_match.start() > main_match.end():
-        code = code[: return_match.start()] + "\n".join(prints) + "\n" + code[return_match.start():]
-    else:
-        closing = code.rfind("}")
-        if closing < 0:
-            return code
-        code = code[:closing] + "\n".join(prints) + "\n" + code[closing:]
-    if not re.search(r"#\s*include\s*<iostream>", code):
-        code = "#include <iostream>\n" + code
-    return code
+    harness = "\n".join([f"    std::cout.precision(17); {CANONICAL_MARK}", *reprints]) + "\n"
+    if code[pos:anchor].strip():
+        pos, harness = anchor, "\n" + harness
+    while pos and not code[_line_start(code, pos - 1):pos].strip():
+        pos = _line_start(code, pos - 1)  # blank lines stay with the anchor
+    edits.append((pos, pos, harness))
+    if not re.search(r"#\s*include\s*<iostream>", cleaned):
+        edits.append((0, 0, "#include <iostream>\n"))
+    return cleaned, printed, _render(code, edits)
 
 
 def nonblank_line_count(code: str) -> int:
@@ -406,16 +405,13 @@ def nonblank_line_count(code: str) -> int:
 def clean_and_filter(
     candidate: SnippetCandidate, min_lines: int = MIN_NONBLANK_LINES
 ) -> SnippetCandidate:
-    """Apply the cleaning steps and structural filters in order.
+    """Clean a snippet, then apply the structural filters in order.
 
     Rejection is a value, not an error; the first failed filter wins.
     """
     if not candidate.raw_code.strip():
         raise InvalidInputError("candidate raw_code must be non-empty")
-    code, printed, removed = _strip_io_statements(candidate.raw_code)
-    code = _strip_comments(code)
-    code = _drop_unreferenced_decls(code, removed)
-    code = re.sub(r"\n{3,}", "\n\n", code).strip("\n")
+    code, printed, harnessed = _clean_snippet(candidate.raw_code)
 
     reason: RejectionReason | None = None
     if not code.strip():
@@ -426,11 +422,12 @@ def clean_and_filter(
         reason = RejectionReason.NO_FOR_LOOP
     elif nonblank_line_count(code) < min_lines:
         reason = RejectionReason.TOO_SHORT
+    elif printed and harnessed is None:  # a case that prints nothing validates nothing
+        reason = RejectionReason.NO_OUTPUT
 
     if reason is not None:
         return replace(candidate, cleaned_code=None, rejection_reason=reason)
-    return replace(candidate, cleaned_code=_inject_result_harness(code, printed),
-                   rejection_reason=None)
+    return replace(candidate, cleaned_code=harnessed or code, rejection_reason=None)
 
 
 def _case_file_text(candidate: SnippetCandidate) -> str:

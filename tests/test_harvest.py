@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omprag.cli import main as cli_main
 from omprag.config import PipelineConfig
@@ -17,7 +21,7 @@ from omprag.harvest import (
     HttpQaApi,
     RejectionReason,
     SnippetCandidate,
-    _strip_io_statements,
+    _clean_snippet,
     build_case_manifest,
     clean_and_filter,
     compile_filter,
@@ -296,11 +300,11 @@ class TestCleanAndFilter:
         """A ';' in a for header or a string ends no statement, the text
         after a line's last ';' stays unless it holds I/O, and a dropped
         statement keeps the braces it shares with the line."""
-        code, got_printed, _ = _strip_io_statements(line)
+        code, got_printed, _ = _clean_snippet(line)
         assert (code, got_printed) == (cleaned, printed)
 
     def test_printed_expressions_keep_braced_initialisers_whole(self):
-        _, printed, _ = _strip_io_statements('    printf("%d %d", T{1, 2}.x, f(a, b));')
+        _, printed, _ = _clean_snippet('    printf("%d %d", T{1, 2}.x, f(a, b));')
         assert printed == ["T{1, 2}.x", "f(a, b)"]
 
     def test_idempotent_on_survivors(self):
@@ -321,6 +325,18 @@ class TestCleanAndFilter:
                                 rejection_reason=RejectionReason.EMPTY)
         with pytest.raises(InvalidInputError):
             both.validate()
+
+
+def _survivor_output(code: str, tmp_path: Path) -> list[str]:
+    """The lines the compiled survivor of a snippet prints."""
+    import subprocess
+
+    survivor = compile_filter(clean_and_filter(_candidate(code)), tmp_path / "gate")
+    assert survivor.rejection_reason is None
+    run = subprocess.run([str(tmp_path / "gate" / "case.bin")], capture_output=True,
+                         text=True, timeout=30, stdin=subprocess.DEVNULL)
+    assert run.returncode == 0
+    return run.stdout.splitlines()
 
 
 @requires_compiler
@@ -345,16 +361,19 @@ class TestCompileFilterAndManifest:
         assert rejected.rejection_reason is RejectionReason.COMPILE_FAIL
         assert rejected.cleaned_code is None
 
-    @pytest.mark.parametrize("loop_print", [
-        ["    for (int i = 0; i < n; ++i) {", "        std::cout << a[i] << std::endl;", "    }"],
-        ["    for (int i = 0; i < n; ++i) { std::cout << a[i]; }"],
-        ["    for (int i = 0; i < n; ++i) std::cout << a[i] << std::endl;"],
-        ["    if (s > 0) { std::cout << s; }"],
+    @pytest.mark.parametrize("loop_print, printed", [
+        (["    for (int i = 0; i < n; ++i) {", "        std::cout << a[i] << std::endl;", "    }"],
+         [f"RESULT a_i={i * i}" for i in range(8)]),
+        (["    for (int i = 0; i < n; ++i) { std::cout << a[i]; }"],
+         [f"RESULT a_i={i * i}" for i in range(8)]),
+        (["    for (int i = 0; i < n; ++i) std::cout << a[i] << std::endl;"],
+         [f"RESULT a_i={i * i}" for i in range(8)]),
+        (["    if (s > 0) { std::cout << s; }"], ["RESULT s=140"]),
     ])
     def test_a_print_in_a_loop_or_block_leaves_a_snippet_that_compiles(self, tmp_path,
-                                                                     loop_print):
+                                                                     loop_print, printed):
         """A print's braces stay balanced, and a value indexed by a loop
-        variable is not reprinted where that variable is out of scope."""
+        variable is reprinted inside a copy of the loop's header."""
         code = "\n".join([
             "#include <iostream>",
             "#include <vector>",
@@ -370,10 +389,52 @@ class TestCompileFilterAndManifest:
             "    return 0;",
             "}",
         ])
-        cleaned = clean_and_filter(_candidate(code))
-        assert cleaned.rejection_reason is None
-        assert "a_i" not in cleaned.cleaned_code
-        assert compile_filter(cleaned, tmp_path / "gate").rejection_reason is None
+        assert _survivor_output(code, tmp_path) == printed
+
+    @pytest.mark.parametrize("code, printed", [
+        # a comment that names a print is whitespace, not a print
+        (["#include <cstdio>", "#include <vector>", "int main() {", "    const int n = 100;",
+          "    std::vector<long long> a(n);", "    for (int i = 0; i < n; ++i) {",
+          "        a[i] = i;", "    }", "    long long sum = 0;",
+          "    for (int i = 0; i < n; ++i) {", "        // accumulate, then printf the total",
+          "        sum += a[i];", "    }", '    printf("%lld\\n", sum);', "    return 0;", "}"],
+         ["RESULT sum=4950"]),
+        # a helper's parameter is not reprinted in main; main's own value is
+        (["#include <iostream>", "void show(long long v) { std::cout << v << std::endl; }",
+          "int main() {", "    long long total = 0;", "    for (int i = 0; i < 10; ++i) {",
+          "        total += i;", "    }", "    long long twice = 2 * total;",
+          "    long long thrice = 3 * total;", "    show(twice + thrice);",
+          "    std::cout << total << std::endl;", "    return 0;", "}"],
+         ["RESULT total=45"]),
+        # an input loop goes whole, with the declarations only it used
+        (["#include <iostream>", "#include <vector>", "int main() {",
+          "    std::vector<long> values;", "    long x;", "    while (std::cin >> x) {",
+          "        values.push_back(x);", "    }", "    long s = 0;",
+          "    for (int i = 0; i < 10; ++i) {", "        s += i * i;", "    }",
+          "    long t = s + 1;", "    std::cout << s << std::endl;", "    return t > 0 ? 0 : 1;",
+          "}"],
+         ["RESULT s=285"]),
+        # the harness goes before main's return, not a helper's after it
+        (["#include <cstdio>", "int twice(int v);", "int main() {", "    int total = 0;",
+          "    for (int i = 0; i < 10; ++i) {", "        total += i;", "    }",
+          "    int spread = total - 5;", "    int scaled = spread * 3;",
+          '    printf("%d %d\\n", twice(total), scaled);', "    return 0;", "}",
+          "int twice(int v) {", "    return 2 * v;", "}"],
+         ["RESULT twice_total=90", "RESULT scaled=120"]),
+    ], ids=["comment-names-a-print", "helper-prints", "input-loop", "helper-after-main"])
+    def test_a_snippet_keeps_the_values_it_printed(self, tmp_path, code, printed):
+        assert _survivor_output("\n".join(code), tmp_path) == printed
+
+    def test_a_snippet_whose_values_only_a_helper_printed_is_no_output(self):
+        code = "\n".join([
+            "#include <iostream>", "void show(long long v) { std::cout << v << std::endl; }",
+            "int main() {", "    long long total = 0;", "    for (int i = 0; i < 10; ++i) {",
+            "        total += i;", "    }", "    long long twice = 2 * total;",
+            "    long long thrice = 3 * total;", "    show(twice + thrice);", "    return 0;", "}",
+        ])
+        out = clean_and_filter(_candidate(code))
+        assert out.rejection_reason is RejectionReason.NO_OUTPUT
+        assert out.cleaned_code is None
 
     def test_sequential_ids_respect_start_index(self, tmp_path):
         code = (FIXTURES / "snippets" / "accept_1.cc").read_text()
@@ -439,6 +500,79 @@ class TestCompileFilterAndManifest:
         # 0.9999999999999999: six significant digits would print it as 1
         assert out.stdout.startswith("RESULT s=")
         assert float(out.stdout.strip().removeprefix("RESULT s=")) == expected
+
+
+_PRINTS = (
+    "std::cout << {} << std::endl;",
+    'printf("%lld\\n", {});',
+    "std::cout << \"value \" << {} << '\\n';",
+)
+_SPOTS = ("init loop", "reduce loop", "branch", "main", "helper")
+
+
+@st.composite
+def _printing_kernels(draw):
+    """(code, spots, values): a kernel whose prints sit at the drawn spots,
+    and every value it prints. The helper prints what main passes it."""
+    n, p, q = draw(st.integers(2, 6)), draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    spots = draw(st.sets(st.sampled_from(_SPOTS), min_size=1))
+
+    def note(indent: str) -> list[str]:
+        return [indent + "// then printf the result"] if draw(st.booleans()) else []
+
+    def put(spot: str, expr: str, indent: str) -> list[str]:
+        if spot not in spots:
+            return note(indent)
+        return note(indent) + [indent + draw(st.sampled_from(_PRINTS)).format(expr)]
+
+    helper = ["void report(long long v) {", *put("helper", "v", "    "), "}"]
+    before = draw(st.booleans())
+    code = [
+        "#include <cstdio>", "#include <iostream>", "#include <vector>",
+        *(helper if before else ["void report(long long v);"]),
+        "int main() {",
+        f"    const int n = {n};",
+        "    std::vector<long long> a(n);",
+        "    for (int i = 0; i < n; ++i) {",
+        f"        a[i] = {p}LL * i + {q};",
+        *put("init loop", "a[i]", "        "),
+        "    }",
+        "    long long total = 0;",
+        "    for (int i = 0; i < n; ++i) {",
+        *note("        "),
+        "        total += a[i];",
+        *put("reduce loop", "total", "        "),
+        "    }",
+        "    if (total > 0) {",
+        *put("branch", "total", "        "),
+        "    }",
+        *put("main", "total", "    "),
+        "    report(total);",
+        "    return 0;",
+        "}",
+        *([] if before else helper),
+    ]
+    terms = [p * i + q for i in range(n)]
+    return "\n".join(code), spots, set(terms) | set(itertools.accumulate(terms))
+
+
+@requires_compiler
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_printing_kernels())
+def test_every_survivor_reprints_values_main_printed(kernel):
+    """A value main printed, in a loop, a branch or its own body, comes back
+    as a RESULT line; one only a helper printed leaves the case NoOutput.
+    At most one compile per example."""
+    code, spots, values = kernel
+    if spots == {"helper"}:
+        assert clean_and_filter(_candidate(code)).rejection_reason is RejectionReason.NO_OUTPUT
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = _survivor_output(code, Path(tmp))
+    assert lines
+    for line in lines:
+        label, _, value = line.partition("=")
+        assert label.startswith("RESULT ") and int(value) in values
 
 
 # Stands in for a compiler: logs each compile, sleeps on a source that
