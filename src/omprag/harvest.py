@@ -209,7 +209,7 @@ _OPEN, _CLOSE = "([{", ")]}"
 _GONE = "\0"  # marks a dropped span until its line is judged
 
 
-@dataclass(eq=False)
+@dataclass
 class _Stmt:
     """A statement's tokens through its ';', or a block's header and '{'."""
     tokens: list[re.Match]
@@ -306,7 +306,7 @@ def _reprint(code: str, expr: list[re.Match], stmt: _Stmt, main: _Stmt,
     if stmt.tokens[0][0] == "for":  # a loop whose body is the print
         headers.append(stmt.tokens[:len(_split(stmt.tokens[2:], None)[0]) + 3])
     needed, visible, loops = _free_names(expr), set(scope), ""
-    for header in headers if not needed <= scope else ():
+    for header in headers if not needed <= scope else ():  # main's own values copy no loop
         declared = _free_names(_split(_split(header[2:], ";")[0], ":")[0])
         if not header or header[0][0] != "for" or not _free_names(header) <= visible | declared:
             return None

@@ -228,6 +228,17 @@ class TestCleanAndFilter:
         assert out.rejection_reason is None
         assert "unused_input" not in out.cleaned_code
 
+    def test_a_declaration_list_stays_while_one_of_its_names_is_used(self):
+        code = "\n".join([
+            "#include <cstdio>", "int main() {", '    int a, b; scanf("%d %d", &a, &b);',
+            "    a = 3;", "    int total = 0;", "    for (int i = 0; i < 10; ++i) {",
+            "        total += a * i;", "    }", "    int twice = total * 2;",
+            "    return twice > 0 ? 0 : 1;", "}",
+        ])
+        out = clean_and_filter(_candidate(code))
+        assert out.rejection_reason is None
+        assert "    int a, b;\n    a = 3;" in out.cleaned_code
+
     def test_comment_lines_removed_trailing_comments_kept(self):
         code = (
             "#include <cstdio>\n"
@@ -297,9 +308,8 @@ class TestCleanAndFilter:
         ('    } else { printf("%d", k); }', "    } else { }", ["k"]),
     ])
     def test_only_io_statements_leave_a_line(self, line, cleaned, printed):
-        """A ';' in a for header or a string ends no statement, the text
-        after a line's last ';' stays unless it holds I/O, and a dropped
-        statement keeps the braces it shares with the line."""
+        """A ';' in a for header or a string ends no statement, and an I/O
+        statement goes whole, with the blanks that part it from its line."""
         code, got_printed, _ = _clean_snippet(line)
         assert (code, got_printed) == (cleaned, printed)
 
