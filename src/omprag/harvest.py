@@ -46,8 +46,8 @@ CANONICAL_MARK = "// [canonical-output]"
 _INCLUDE_RE = re.compile(r"^\s*#\s*include\b", re.MULTILINE)
 _FOR_RE = re.compile(r"\bfor\s*\(")
 _OUTPUT_NAMES = {"cout", "printf", "puts", "putchar", "fprintf", "fputs"}
-_IO_NAMES = _OUTPUT_NAMES | {"cin", "cerr", "clog", "sprintf", "scanf", "fscanf", "getchar",
-                             "getline", "fgets"}
+_INPUT_NAMES = {"cin", "scanf", "fscanf", "getchar", "getline", "fgets"}
+_IO_NAMES = _OUTPUT_NAMES | _INPUT_NAMES | {"cerr", "clog", "sprintf"}
 _NOT_PRINTABLE = {
     "std", "cout", "cin", "cerr", "clog", "endl", "flush", "ends", "printf", "scanf", "puts",
     "putchar", "fprintf", "fscanf", "getline", "stderr", "stdout", "if",
@@ -276,8 +276,23 @@ def _split(tokens: list[re.Match], sep: str | None) -> list[list[re.Match]]:
 
 def _free_names(tokens: list[re.Match]) -> set[str]:
     """The names an expression needs in scope: no keywords, members or qualified names."""
-    return {t[0] for prev, t in zip([" ", *tokens], tokens) if t.lastgroup == "name"
-            and t[0] not in _NOT_PRINTABLE and prev[0] not in (".", "->", "::")}
+    names: set[str] = set()
+    after_member = False
+    for tok in tokens:
+        if tok.lastgroup == "name" and not after_member and tok[0] not in _NOT_PRINTABLE:
+            names.add(tok[0])
+        after_member = tok[0] in (".", "->", "::")
+    return names
+
+
+def _loop_variables(header: list[re.Match]) -> set[str]:
+    """The names a for header's init clause declares: the last token before
+    each declarator's '=' (or a range-for's ':'). `i = 0` declares nothing."""
+    init = _split(_split(header[2:], ";")[0], ":")[0]
+    declarators = [_split(part, "=")[0] for part in _split(init, ",")]
+    if len(declarators[0]) < 2:
+        return set()
+    return {d[-1][0] for d in declarators if d and d[-1].lastgroup == "name"}
 
 
 def _printed_expressions(tokens: list[re.Match]) -> list[list[re.Match]]:
@@ -299,16 +314,22 @@ def _reprint(code: str, expr: list[re.Match], stmt: _Stmt, main: _Stmt,
     """The harness line that reprints a value main printed, inside copies of the
     for loops around it when it names their variables; None when a name it
     needs is out of scope at the end of main."""
-    headers, block = [], stmt.parent
-    while block is not main:
-        headers.insert(0, block.tokens[:-1])
-        block = block.parent
-    if stmt.tokens[0][0] == "for":  # a loop whose body is the print
-        headers.append(stmt.tokens[:len(_split(stmt.tokens[2:], None)[0]) + 3])
-    needed, visible, loops = _free_names(expr), set(scope), ""
-    for header in headers if not needed <= scope else ():  # main's own values copy no loop
-        declared = _free_names(_split(_split(header[2:], ";")[0], ":")[0])
-        if not header or header[0][0] != "for" or not _free_names(header) <= visible | declared:
+    needed = _free_names(expr)
+    headers = []  # the headers of the blocks around the print, outermost first
+    if not needed <= scope:  # main's own values copy no loop
+        block = stmt.parent
+        while block is not main:
+            headers.insert(0, block.tokens[:-1])
+            block = block.parent
+        if stmt.tokens[0][0] == "for":  # a loop whose body is the print
+            headers.append(stmt.tokens[:len(_split(stmt.tokens[2:], None)[0]) + 3])
+    visible = set(scope)
+    loops = ""
+    for header in headers:
+        if not header or header[0][0] != "for":
+            return None
+        declared = _loop_variables(header)
+        if not _free_names(header) <= visible | declared:
             return None
         visible |= declared
         loops += code[header[0].start():header[-1].end()] + " "
@@ -347,17 +368,23 @@ def _clean_snippet(code: str) -> tuple[str, list[str], str | None]:
     whose header does I/O, as ``while (std::cin >> x)``, goes whole; lines
     marked CANONICAL_MARK stay, so a cleaned snippet cleans to itself. Returns
     the cleaned code, the values the dropped output printed, and the cleaned
-    code with a harness that reprints main's values (None when it can't)."""
+    code with a harness that reprints main's values (None when it can't). A
+    value that names what an input statement or a dropped block's body names
+    is not reprinted: with them gone it would print a constant."""
     comments, stmts = _parse(code)
     marked = {_line_start(code, t.start()) for t in comments if CANONICAL_MARK in t[0]}
     edits = [(t.start(), t.end(), _GONE) for t in comments if t[0].startswith("/*")]
     prints: list[tuple[list[re.Match], _Stmt]] = []
+    fed: set[str] = set()  # the names of input statements and of dropped blocks' bodies
     for stmt in stmts:
         names = {t[0] for t in stmt.tokens if t.lastgroup == "name"}
         if stmt.parent and stmt.parent.dropped:
             stmt.dropped = True
+            fed |= _free_names(stmt.tokens)
         elif names & _IO_NAMES and _line_start(code, stmt.tokens[0].start()) not in marked:
             edits.append(_drop(code, stmt))
+            if names & _INPUT_NAMES:
+                fed |= _free_names(stmt.tokens)
             if names & _OUTPUT_NAMES:
                 prints += [(expr, stmt) for expr in _printed_expressions(stmt.tokens)]
     removed = {t[0] for s in stmts if s.dropped for t in s.tokens if t.lastgroup == "name"}
@@ -375,14 +402,22 @@ def _clean_snippet(code: str) -> tuple[str, list[str], str | None]:
     if main is None:
         return cleaned, printed, None
     start = main.tokens[0].start()
-    scope = {name for s in stmts if not s.dropped and (s.parent is main or not s.parent
-                                                         and s.end <= start) for name in s.outer}
-    reprints = list(dict.fromkeys(filter(None, (_reprint(code, expr, stmt, main, scope)
-                                                for expr, stmt in prints
-                                                if start < stmt.end <= main.end))))
+    scope: set[str] = set()  # named outside brackets by main's statements or the code before it
+    for s in stmts:
+        if not s.dropped and (s.parent is main or not s.parent and s.end <= start):
+            scope |= s.outer
+    reprints: list[str] = []
+    for expr, stmt in prints:
+        if not start < stmt.end <= main.end or _free_names(expr) & fed:
+            continue
+        line = _reprint(code, expr, stmt, main, scope)
+        if line is not None and line not in reprints:
+            reprints.append(line)
     if not reprints:
         return cleaned, printed, None
-    returns = [s for s in stmts if s.parent is main and not s.dropped and "return" in s.outer]
+    # an early `if (n <= 0) return 1;` is no anchor: it does not start with return
+    returns = [s for s in stmts if s.parent is main and not s.dropped
+               and s.tokens[0][0] == "return"]
     anchor = returns[-1].tokens[0].start() if returns else main.end - 1
     pos = _line_start(code, anchor)
     # 17 significant digits (max_digits10) print a double exactly, so the

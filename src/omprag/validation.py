@@ -508,14 +508,15 @@ def normalize_output(text: str) -> list[str]:
 
 
 def _exact_int(token: str) -> int | None:
-    """The value of an integer token (no point, no exponent) below 2**53 in
-    magnitude; None otherwise. Above 2**53 a double with an integral value
-    prints under %.17g as an integer, so two summation orders can print two
-    different integers there."""
+    """The value of an integer token (no point, no exponent) below 2**52 in
+    magnitude; None otherwise. From 2**52 up the spacing between doubles is
+    1 or more, so every double there is a whole number and prints under
+    %.17g with no point, and two summation orders can print two different
+    integers."""
     if not token.lstrip("+-").isdigit():
         return None
     value = int(token)
-    return value if abs(value) < 2**53 else None
+    return value if abs(value) < 2**52 else None
 
 
 def _lines_match(expected: str, actual: str) -> bool:

@@ -431,18 +431,43 @@ class TestCompileFilterAndManifest:
           '    printf("%d %d\\n", twice(total), scaled);', "    return 0;", "}",
           "int twice(int v) {", "    return 2 * v;", "}"],
          ["RESULT twice_total=90", "RESULT scaled=120"]),
-    ], ids=["comment-names-a-print", "helper-prints", "input-loop", "helper-after-main"])
+        # an early `if (...) return 1;` is no anchor when main has no final return
+        (["#include <iostream>", "int main() {", "    int n = 10;", "    long sum = 0;",
+          "    if (n <= 0) return 1;", "    for (int i = 0; i < n; ++i) {", "        sum += i;",
+          "    }", "    long sq = sum * sum;", "    long half = sq / 2;",
+          "    std::cout << sum << \" \" << sq << std::endl;", "}"],
+         ["RESULT sum=45", "RESULT sq=2025"]),
+        # a loop copy needs its header's initialiser in scope, not only its variable
+        (["#include <iostream>", "#include <vector>", "int main() {", "    std::vector<long> a(12);",
+          "    long s = 0;", "    for (int i = 0; i < 12; ++i) {", "        a[i] = i * i;",
+          "        s += a[i];", "    }", "    for (int r = 0; r < 3; ++r) {",
+          "        int base = r * 4;",
+          "        for (int k = base; k < base + 2; ++k) std::cout << a[k] << std::endl;",
+          "    }", "    std::cout << s << std::endl;", "    return 0;", "}"],
+         ["RESULT s=506"]),
+    ], ids=["comment-names-a-print", "helper-prints", "input-loop", "helper-after-main",
+            "early-return-guard", "loop-bound-from-body"])
     def test_a_snippet_keeps_the_values_it_printed(self, tmp_path, code, printed):
         assert _survivor_output("\n".join(code), tmp_path) == printed
 
-    def test_a_snippet_whose_values_only_a_helper_printed_is_no_output(self):
-        code = "\n".join([
-            "#include <iostream>", "void show(long long v) { std::cout << v << std::endl; }",
-            "int main() {", "    long long total = 0;", "    for (int i = 0; i < 10; ++i) {",
-            "        total += i;", "    }", "    long long twice = 2 * total;",
-            "    long long thrice = 3 * total;", "    show(twice + thrice);", "    return 0;", "}",
-        ])
-        out = clean_and_filter(_candidate(code))
+    @pytest.mark.parametrize("code", [
+        # a helper's parameter is out of scope in main
+        ["#include <iostream>", "void show(long long v) { std::cout << v << std::endl; }",
+         "int main() {", "    long long total = 0;", "    for (int i = 0; i < 10; ++i) {",
+         "        total += i;", "    }", "    long long twice = 2 * total;",
+         "    long long thrice = 3 * total;", "    show(twice + thrice);", "    return 0;", "}"],
+        # with its input gone, a value input gave would print a constant
+        ["#include <iostream>", "int main() {", "    long x = 0;", "    long sum = 0;",
+         "    while (std::cin >> x) {", "        sum += x;", "    }", "    long a[8];",
+         "    for (int i = 0; i < 8; ++i) {", "        a[i] = i;", "    }",
+         "    std::cout << sum << std::endl;", "    return 0;", "}"],
+        ["#include <cstdio>", "int main() {", "    long sum = 0;", '    scanf("%ld", &sum);',
+         "    long a[8];", "    for (int i = 0; i < 8; ++i) {", "        a[i] = i;", "    }",
+         "    long last = a[7];", "    long first = a[0];", '    printf("%ld\\n", sum);',
+         "    return 0;", "}"],
+    ], ids=["helper-prints", "input-loop", "scanf"])
+    def test_a_snippet_with_no_value_left_to_reprint_is_no_output(self, code):
+        out = clean_and_filter(_candidate("\n".join(code)))
         assert out.rejection_reason is RejectionReason.NO_OUTPUT
         assert out.cleaned_code is None
 

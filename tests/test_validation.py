@@ -200,16 +200,18 @@ class TestOutputsMatch:
         assert not outputs_match(expected, actual)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=4),
-           st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=4))
-    def test_integers_below_two_to_the_53_match_only_when_equal(self, xs, ys):
+    @given(st.lists(st.integers(-(2**52) + 1, 2**52 - 1), min_size=1, max_size=4),
+           st.lists(st.integers(-(2**52) + 1, 2**52 - 1), min_size=1, max_size=4))
+    def test_integers_below_two_to_the_52_match_only_when_equal(self, xs, ys):
         ys = ys[: len(xs)] + xs[len(ys):]  # the same count of numbers on each side
         line = lambda values: "RESULT " + " ".join(map(str, values))
         assert outputs_match(line(xs), line(ys)) == (xs == ys)
 
     def test_large_integers_and_integer_decimal_pairs_keep_the_tolerance(self):
-        # a double with an integral value above 2**53 prints as an integer
+        # from 2**52 up every double is a whole number and prints as an integer
         assert outputs_match(f"RESULT {2**60}", f"RESULT {2**60 + 2**10}")
+        assert outputs_match("RESULT 4503599627370497", "RESULT 4503599627370498")
+        assert not outputs_match("RESULT 4503599627370495", "RESULT 4503599627370494")
         assert outputs_match("RESULT 1000000000", "RESULT 1000000000.5")
         assert not outputs_match("RESULT 1000", "RESULT 1001.5")
 
